@@ -178,6 +178,30 @@ class CondVar {
 #endif
   }
 
+  /// Like WaitFor with no timeout: returns on a notification (or a spurious
+  /// wakeup), so callers re-check their predicate in a loop. Under
+  /// det-sched it is the same yield point as WaitFor.
+  void Wait(Mutex* mu DMX_LOCK_LOC_PARAM) DMX_REQUIRES(mu) {
+#ifdef DMX_DEBUG_LOCKS
+    if (detsched::Active()) {
+      WaitFor(mu, std::chrono::milliseconds(0), dmx_loc);
+      return;
+    }
+    lockdep::OnRelease(mu);
+    {
+      std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
+      cv_.wait(lock);
+      lock.release();  // Ownership stays with the caller's scope.
+    }
+    lockdep::PostAcquire(mu, mu->cls_, lockdep::AcqMode::kExclusive,
+                         dmx_loc);
+#else
+    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();  // Ownership stays with the caller's scope.
+#endif
+  }
+
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

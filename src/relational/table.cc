@@ -1,5 +1,7 @@
 #include "relational/table.h"
 
+#include <iterator>
+
 namespace dmx::rel {
 
 Status Table::ValidateSchema(const Schema& schema) {
@@ -41,10 +43,10 @@ Status Table::InsertAll(std::vector<Row> rows) {
   for (Row& row : rows) {
     DMX_RETURN_IF_ERROR(CoerceForInsert(&row));
   }
-  rows_.reserve(rows_.size() + rows.size());
-  for (Row& row : rows) {
-    rows_.push_back(std::move(row));
-  }
+  // A range insert grows geometrically; an exact reserve here would
+  // reallocate the whole table on every single-row INSERT.
+  rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
   return Status::OK();
 }
 

@@ -10,10 +10,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Accept-loop poll slice: how quickly the server notices a drain request.
-constexpr int kAcceptPollMs = 100;
-/// Session read slice: how quickly an idle session notices a drain.
-constexpr int kReadPollMs = 100;
 /// Timeout for best-effort error frames on a session that is being killed.
 constexpr int kErrorWriteMs = 1'000;
 
@@ -48,53 +44,54 @@ Status DmxServer::Start() {
 }
 
 void DmxServer::AcceptLoop() {
-  while (!draining() && !stopped_.load(std::memory_order_acquire)) {
-    Result<std::unique_ptr<Transport>> conn = listener_->Accept(kAcceptPollMs);
-    ReapSessions(/*all=*/false);
-    if (!conn.ok()) {
-      if (conn.status().IsDeadlineExceeded()) continue;  // Poll slice.
-      if (draining() || stopped_.load(std::memory_order_acquire)) break;
-      continue;  // Transient accept failure; keep serving.
-    }
-    auto session = std::make_unique<Session>();
-    session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-    Session* raw = session.get();
-    // Ownership: the registry owns the Session; the thread only borrows it
-    // and flips `done` last, so ReapSessions never frees a live frame.
-    std::shared_ptr<Transport> transport(std::move(*conn));
-    raw->thread = std::thread([this, raw, transport] {
-      RunSession(raw, transport.get());
-      transport->Close();
-      raw->done.store(true, std::memory_order_release);
-    });
-    {
-      MutexLock lock(&sessions_mu_);
-      sessions_.push_back(std::move(session));
-    }
-    MutexLock lock(&stats_mu_);
-    ++stats_.sessions_opened;
+  // Drain sets `draining` before it closes the listener, which fails the
+  // blocked Accept; any other failure is transient.
+  while (!draining()) {
+    Result<std::unique_ptr<Transport>> conn = listener_->Accept();
+    ReapSessions();
+    if (conn.ok()) (void)AddSession(std::move(*conn), /*spawn=*/true);
   }
 }
 
 void DmxServer::ServeConnection(std::unique_ptr<Transport> transport) {
+  Session* session = AddSession(std::move(transport), /*spawn=*/false);
+  RunSession(session);
+  EndSession(session);
+  ReapSessions();
+}
+
+DmxServer::Session* DmxServer::AddSession(
+    std::unique_ptr<Transport> transport, bool spawn) {
   auto session = std::make_unique<Session>();
   session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
+  session->transport = std::move(transport);
   Session* raw = session.get();
+  // Ownership: the registry owns the Session; the thread only borrows it
+  // and flips `done` last, so ReapSessions never frees a live frame. The
+  // thread starts before registration, so no reaper sees it half-built.
+  if (spawn) {
+    raw->thread = std::thread([this, raw] {
+      RunSession(raw);
+      EndSession(raw);
+    });
+  }
   {
     MutexLock lock(&sessions_mu_);
     sessions_.push_back(std::move(session));
   }
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.sessions_opened;
-  }
-  RunSession(raw, transport.get());
-  transport->Close();
-  raw->done.store(true, std::memory_order_release);
-  ReapSessions(/*all=*/false);
+  MutexLock lock(&stats_mu_);
+  ++stats_.sessions_opened;
+  return raw;
 }
 
-void DmxServer::ReapSessions(bool all) {
+void DmxServer::EndSession(Session* session) {
+  session->transport->Close();
+  MutexLock lock(&sessions_mu_);
+  session->done.store(true, std::memory_order_release);
+  sessions_cv_.NotifyAll();
+}
+
+void DmxServer::ReapSessions() {
   std::vector<std::unique_ptr<Session>> finished;
   {
     MutexLock lock(&sessions_mu_);
@@ -115,12 +112,19 @@ void DmxServer::ReapSessions(bool all) {
     MutexLock lock(&stats_mu_);
     ++stats_.sessions_closed;
   }
-  if (all) {
-    // Callers (Drain) have already ensured every session flipped `done`.
-  }
 }
 
-void DmxServer::RunSession(Session* session, Transport* transport) {
+bool DmxServer::AllSessionsDone() const {
+  return std::all_of(sessions_.begin(), sessions_.end(), [](const auto& s) {
+    return s->done.load(std::memory_order_acquire);
+  });
+}
+
+void DmxServer::RunSession(Session* session) {
+  // A session registered after Drain took its snapshot is not closed by
+  // it; registration happens-before this check, so it sees `draining`.
+  if (draining()) return;
+  Transport* transport = session->transport.get();
   FrameReader reader(transport);
   auto kill = [&](const Status& status, uint64_t request_id) {
     // Best-effort terminal frame; once framing is lost the write may fail,
@@ -133,29 +137,23 @@ void DmxServer::RunSession(Session* session, Transport* transport) {
     MutexLock lock(&stats_mu_);
     ++stats_.frames_rejected;
   };
+  // One blocking read per frame. kDeadlineExceeded is the idle timeout
+  // and EOF a clean close; both end the session quietly, and so does a
+  // failure under a drain, which is the drain's Close waking the read.
+  auto next_frame = [&]() -> std::optional<Frame> {
+    Result<std::optional<Frame>> next = reader.Next(options_.idle_timeout_ms);
+    if (!next.ok()) {
+      if (!next.status().IsDeadlineExceeded() && !draining()) {
+        kill(next.status(), 0);
+      }
+      return std::nullopt;
+    }
+    return std::move(*next);
+  };
 
   // --- handshake ---
-  auto idle_start = Clock::now();
-  auto idle_exceeded = [&]() {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - idle_start)
-               .count() >= options_.idle_timeout_ms;
-  };
-  std::optional<Frame> hello_frame;
-  while (true) {
-    Result<std::optional<Frame>> next = reader.Next(kReadPollMs);
-    if (!next.ok()) {
-      if (next.status().IsDeadlineExceeded()) {
-        if (draining() || idle_exceeded()) return;
-        continue;
-      }
-      kill(next.status(), 0);
-      return;
-    }
-    if (!next->has_value()) return;  // EOF before Hello.
-    hello_frame = std::move(**next);
-    break;
-  }
+  std::optional<Frame> hello_frame = next_frame();
+  if (!hello_frame.has_value()) return;
   if (hello_frame->type != FrameType::kHello) {
     kill(InvalidArgument() << "expected Hello, got frame type '"
                            << static_cast<char>(hello_frame->type) << "'",
@@ -174,7 +172,8 @@ void DmxServer::RunSession(Session* session, Transport* transport) {
          0);
     return;
   }
-  session->tenant = hello->tenant;
+  std::unique_ptr<Connection> conn = provider_->Connect();
+  conn->set_tenant(hello->tenant);
   HelloAckBody ack;
   ack.session_id = session->id;
   if (!transport
@@ -186,28 +185,31 @@ void DmxServer::RunSession(Session* session, Transport* transport) {
 
   // --- statement loop ---
   uint64_t sent_bytes = 0;
-  idle_start = Clock::now();
   while (true) {
-    Result<std::optional<Frame>> next = reader.Next(kReadPollMs);
-    if (!next.ok()) {
-      if (next.status().IsDeadlineExceeded()) {
-        if (draining() || idle_exceeded()) return;
-        continue;
-      }
-      kill(next.status(), 0);
-      return;
-    }
-    if (!next->has_value()) return;  // Clean half-close.
-    idle_start = Clock::now();
-    Frame frame = std::move(**next);
-    switch (frame.type) {
+    std::optional<Frame> frame = next_frame();
+    if (!frame.has_value()) return;
+    switch (frame->type) {
       case FrameType::kRequest: {
-        Result<RequestBody> request = DecodeRequest(frame.body);
+        Result<RequestBody> request = DecodeRequest(frame->body);
         if (!request.ok()) {
           kill(request.status(), 0);
           return;
         }
-        if (draining()) {
+        // Arm the guard from the frame header: the deadline spans
+        // admission, execution and the streaming writes.
+        ExecLimits limits;
+        limits.deadline_ms = static_cast<int64_t>(request->deadline_ms);
+        limits.cancel = std::make_shared<CancelToken>();
+        ExecGuard guard(limits);
+        bool refused;
+        {
+          // One step against Drain's snapshot: either this request sees
+          // `draining`, or Drain sees its token and leaves the session open.
+          MutexLock lock(&session->mu);
+          refused = draining();
+          if (!refused) session->cancel = limits.cancel;
+        }
+        if (refused) {
           // Drain refusal: the statement never starts, so it is the other
           // legitimately retryable rejection (against another replica or
           // after the restart).
@@ -226,16 +228,23 @@ void DmxServer::RunSession(Session* session, Transport* transport) {
           }
           continue;
         }
-        if (!HandleRequest(session, transport, *request, &sent_bytes)) {
-          return;
+        bool keep =
+            HandleRequest(conn.get(), transport, *request, &guard, &sent_bytes);
+        {
+          // A drain that found this statement running left the session
+          // open; it ends here, after the statement's Done.
+          MutexLock lock(&session->mu);
+          session->cancel.reset();
+          keep = keep && !draining();
         }
+        if (!keep) return;
         continue;
       }
       case FrameType::kCancel: {
         // Statements on a session are serial, so a Cancel can only arrive
         // between requests: decode for validity, then ignore (the request
         // it names has already finished).
-        Result<CancelBody> cancel = DecodeCancel(frame.body);
+        Result<CancelBody> cancel = DecodeCancel(frame->body);
         if (!cancel.ok()) {
           kill(cancel.status(), 0);
           return;
@@ -247,39 +256,22 @@ void DmxServer::RunSession(Session* session, Transport* transport) {
       default:
         kill(InvalidArgument()
                  << "unexpected frame type '"
-                 << static_cast<char>(frame.type) << "' from client",
+                 << static_cast<char>(frame->type) << "' from client",
              0);
         return;
     }
   }
 }
 
-bool DmxServer::HandleRequest(Session* session, Transport* transport,
-                              const RequestBody& request,
+bool DmxServer::HandleRequest(Connection* conn, Transport* transport,
+                              const RequestBody& request, ExecGuard* guard,
                               uint64_t* sent_bytes) {
-  // Arm the guard from the frame header: the deadline spans admission,
-  // execution and (below) the streaming writes. The cancel token is
-  // registered on the session so Drain() can reach a straggler.
-  ExecLimits limits;
-  limits.deadline_ms = static_cast<int64_t>(request.deadline_ms);
-  limits.cancel = std::make_shared<CancelToken>();
-  ExecGuard guard(limits);
-  {
-    MutexLock lock(&session->mu);
-    session->cancel = limits.cancel;
-  }
-  std::unique_ptr<Connection> conn = provider_->Connect();
-  conn->set_tenant(session->tenant);
-  Result<Rowset> result = conn->ExecuteGuarded(request.statement, &guard);
-  {
-    MutexLock lock(&session->mu);
-    session->cancel.reset();
-  }
+  Result<Rowset> result = conn->ExecuteGuarded(request.statement, guard);
 
   auto write_timeout = [&]() {
     int timeout = options_.write_timeout_ms;
-    if (guard.has_deadline()) {
-      int64_t left = guard.remaining_ms();
+    if (guard->has_deadline()) {
+      int64_t left = guard->remaining_ms();
       timeout = static_cast<int>(
           std::min<int64_t>(timeout, left > 0 ? left : 1));
     }
@@ -297,16 +289,17 @@ bool DmxServer::HandleRequest(Session* session, Transport* transport,
 
   DoneBody done;
   done.request_id = request.request_id;
+  auto fail = [&](const Status& status) {
+    done.SetStatus(status);
+    MutexLock lock(&stats_mu_);
+    ++stats_.statements_failed;
+  };
 
   if (!result.ok()) {
-    done.SetStatus(result.status());
+    fail(result.status());
     if (IsAdmissionRejection(result.status())) {
       done.retryable = true;
       done.retry_after_ms = provider_->admission()->SuggestedRetryMs();
-    }
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.statements_failed;
     }
     return send(FrameType::kDone, EncodeDone(done)).ok();
   }
@@ -322,24 +315,15 @@ bool DmxServer::HandleRequest(Session* session, Transport* transport,
 
   const std::vector<Row>& rows = result->rows();
   for (size_t off = 0; off < rows.size(); off += options_.chunk_rows) {
-    Status tick = guard.Check();
+    Status tick = guard->Check();
     if (!tick.ok()) {
-      done.SetStatus(tick.WithContext("streaming response"));
-      {
-        MutexLock lock(&stats_mu_);
-        ++stats_.statements_failed;
-      }
+      fail(tick.WithContext("streaming response"));
       return send(FrameType::kDone, EncodeDone(done)).ok();
     }
     if (over_budget()) {
-      done.SetStatus(ResourceExhausted()
-                     << "session send budget exhausted (" << *sent_bytes
-                     << " of " << options_.max_session_send_bytes
-                     << " bytes)");
-      {
-        MutexLock lock(&stats_mu_);
-        ++stats_.statements_failed;
-      }
+      fail(ResourceExhausted()
+           << "session send budget exhausted (" << *sent_bytes << " of "
+           << options_.max_session_send_bytes << " bytes)");
       (void)send(FrameType::kDone, EncodeDone(done));
       return false;  // Budget is per session: the session ends with it.
     }
@@ -366,40 +350,38 @@ Status DmxServer::Drain() {
   if (listener_ != nullptr) listener_->Close();
   if (accept_thread_.joinable()) accept_thread_.join();
 
-  auto all_done = [&]() {
+  // Wake the idle sessions by closing their transports. A session with a
+  // cancel token is running a statement and stays open until its Done is
+  // written; every later request on any session sees `draining`.
+  std::vector<std::shared_ptr<Transport>> idle;
+  {
     MutexLock lock(&sessions_mu_);
     for (const auto& session : sessions_) {
-      if (!session->done.load(std::memory_order_acquire)) return false;
+      MutexLock session_lock(&session->mu);
+      if (session->cancel == nullptr) idle.push_back(session->transport);
     }
-    return true;
-  };
+  }
+  for (const auto& transport : idle) transport->Close();
 
-  // Grace: in-flight statements may finish on their own; idle sessions see
-  // `draining` at their next read slice and exit.
-  SystemRetryClock clock;
+  // Grace: in-flight statements may finish on their own. Past it, cancel
+  // stragglers through their CancelTokens; the guard checkpoints inside the
+  // algorithms unwind them cooperatively.
   const auto grace_deadline =
       Clock::now() + std::chrono::milliseconds(options_.drain_grace_ms);
-  while (!all_done() && Clock::now() < grace_deadline) {
-    clock.SleepMs(10);
-  }
-
-  // Past grace: cancel stragglers through their statement CancelTokens;
-  // the guard checkpoints inside the algorithms unwind them cooperatively.
-  if (!all_done()) {
-    std::vector<std::shared_ptr<CancelToken>> tokens;
-    {
-      MutexLock lock(&sessions_mu_);
-      for (const auto& session : sessions_) {
-        MutexLock session_lock(&session->mu);
-        if (session->cancel != nullptr) tokens.push_back(session->cancel);
-      }
+  {
+    MutexLock lock(&sessions_mu_);
+    while (!AllSessionsDone() && Clock::now() < grace_deadline) {
+      sessions_cv_.WaitFor(&sessions_mu_,
+                           std::chrono::ceil<std::chrono::milliseconds>(
+                               grace_deadline - Clock::now()));
     }
-    for (const auto& token : tokens) token->Cancel();
-    while (!all_done()) {
-      clock.SleepMs(10);
+    for (const auto& session : sessions_) {
+      MutexLock session_lock(&session->mu);
+      if (session->cancel != nullptr) session->cancel->Cancel();
     }
+    while (!AllSessionsDone()) sessions_cv_.Wait(&sessions_mu_);
   }
-  ReapSessions(/*all=*/true);
+  ReapSessions();
 
   // Checkpoint the store so the drained state is the recovered state.
   if (provider_->store() != nullptr) {

@@ -1,8 +1,10 @@
-// DmxServer: the multi-session network front end over Provider (ROADMAP
-// item 3, DESIGN.md §13). One accept thread plus one thread per session;
-// each session speaks the framed protocol of wire.h over a Transport, so
-// the whole server is testable against in-memory pipes and injected
-// faults without a socket.
+// DmxServer: the multi-session network front end over Provider (DESIGN.md
+// §13). One accept thread plus one thread per session; each session owns
+// one Connection and speaks the framed protocol of wire.h over a
+// Transport, so the whole server is testable against in-memory pipes and
+// injected faults without a socket. Nothing polls: the accept thread
+// blocks in Accept, a session blocks in its read for up to the idle
+// timeout, and Drain wakes both by closing what they block on.
 //
 // Robustness contract:
 //   * A malformed, torn or hostile byte stream terminates *that session*
@@ -13,10 +15,18 @@
 //     queueing + execution + the writes back to the client.
 //   * A stalled reader trips the per-write send budget (write timeout) and
 //     the session is dropped instead of buffering without bound.
+//   * A session silent for `idle_timeout_ms` is dropped: its one blocking
+//     read timing out *is* the idle timeout.
 //   * Drain (SIGTERM in dmxsh --serve) runs the state machine: stop
 //     accepting -> refuse new statements with retryable kUnavailable ->
+//     close every idle session's transport, which wakes its read ->
 //     grace period for in-flight statements -> cancel stragglers through
 //     their CancelToken -> join sessions -> checkpoint the store.
+//   * A statement the server starts always has its response written, or
+//     is unwound through its CancelToken into a kCancelled Done; the
+//     drain never closes a transport under a running statement. A request
+//     that races the drain is either refused (retryable kUnavailable) or
+//     finds its session closed; it never executes.
 
 #ifndef DMX_SERVER_SERVER_H_
 #define DMX_SERVER_SERVER_H_
@@ -104,24 +114,38 @@ class DmxServer {
  private:
   struct Session {
     uint64_t id = 0;
-    std::string tenant;
-    std::thread thread;
+    /// Shared so Drain can Close it from its own thread while the session
+    /// ends and is reaped.
+    std::shared_ptr<Transport> transport;
+    /// Set under the server's sessions_mu_, which Drain waits on.
     std::atomic<bool> done{false};
-    /// The in-flight statement's cancel token, set for the duration of one
-    /// Execute; Drain() fires it to reclaim a straggler session.
+    /// The running statement's cancel token: set from the moment a request
+    /// passes the draining() check until its Done is written. Drain closes
+    /// only sessions without one and fires it for stragglers.
     std::shared_ptr<CancelToken> cancel;
     Mutex mu{"server.session.mu"};  ///< Guards `cancel` only.
+    std::thread thread;  ///< Last: it runs on the members above.
   };
 
   void AcceptLoop();
+  /// Registers a session on `transport`. With `spawn` it runs on its own
+  /// thread (the pointer returned may then already be reaped); without, the
+  /// caller runs it.
+  Session* AddSession(std::unique_ptr<Transport> transport, bool spawn)
+      DMX_EXCLUDES(sessions_mu_);
+  /// Closes the session's transport and marks it done for the reaper.
+  void EndSession(Session* session) DMX_EXCLUDES(sessions_mu_);
   /// The per-session protocol loop (body of ServeConnection).
-  void RunSession(Session* session, Transport* transport);
-  /// Executes one Request and streams Schema/Chunk/Done. Returns false
-  /// when the session must end (write failure / budget exhausted).
-  bool HandleRequest(Session* session, Transport* transport,
-                     const RequestBody& request, uint64_t* sent_bytes);
-  /// Joins finished session threads (accept loop housekeeping + drain).
-  void ReapSessions(bool all) DMX_EXCLUDES(sessions_mu_);
+  void RunSession(Session* session);
+  /// Executes one Request on the session's Connection and streams
+  /// Schema/Chunk/Done under `guard`. Returns false when the session must
+  /// end (write failure / budget exhausted).
+  bool HandleRequest(Connection* conn, Transport* transport,
+                     const RequestBody& request, ExecGuard* guard,
+                     uint64_t* sent_bytes);
+  /// Joins finished session threads (on each accept and in Drain).
+  void ReapSessions() DMX_EXCLUDES(sessions_mu_);
+  bool AllSessionsDone() const DMX_REQUIRES(sessions_mu_);
 
   Provider* provider_;
   ServerOptions options_;
@@ -133,9 +157,11 @@ class DmxServer {
   std::atomic<uint64_t> next_session_id_{1};
 
   mutable Mutex sessions_mu_{"server.sessions_mu"};
-  /// Never held across Execute or a transport write: sessions register /
+  /// Never held across Execute or a transport call: sessions register /
   /// deregister only (lockdep class "server.sessions_mu").
   std::vector<std::unique_ptr<Session>> sessions_ DMX_GUARDED_BY(sessions_mu_);
+  /// Notified when a session sets `done`; Drain waits on it.
+  CondVar sessions_cv_;
 
   mutable Mutex stats_mu_{"server.stats_mu"};
   Stats stats_ DMX_GUARDED_BY(stats_mu_);

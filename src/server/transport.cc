@@ -36,14 +36,16 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-/// \brief Transport over a connected (non-blocking) TCP socket.
+/// \brief Transport over a connected (non-blocking) TCP socket. Close()
+/// only shuts the socket down, which wakes a blocked poll on either side;
+/// the fd is released by the destructor, so a Close from another thread
+/// never races a Read or Write into a reused descriptor.
 class TcpTransport : public Transport {
  public:
   explicit TcpTransport(int fd) : fd_(fd) {}
-  ~TcpTransport() override { Close(); }
+  ~TcpTransport() override { close(fd_); }
 
   Result<size_t> Read(char* buf, size_t n, int timeout_ms) override {
-    if (fd_ < 0) return InvalidState() << "read on closed transport";
     const bool timed = timeout_ms > 0;
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(timed ? timeout_ms : 0);
@@ -73,7 +75,6 @@ class TcpTransport : public Transport {
   }
 
   Status Write(std::string_view data, int timeout_ms) override {
-    if (fd_ < 0) return InvalidState() << "write on closed transport";
     const bool timed = timeout_ms > 0;
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(timed ? timeout_ms : 0);
@@ -112,26 +113,19 @@ class TcpTransport : public Transport {
     return Status::OK();
   }
 
-  void ShutdownWrite() override {
-    if (fd_ >= 0) shutdown(fd_, SHUT_WR);
-  }
+  void ShutdownWrite() override { shutdown(fd_, SHUT_WR); }
 
-  void Close() override {
-    if (fd_ >= 0) {
-      close(fd_);
-      fd_ = -1;
-    }
-  }
+  void Close() override { shutdown(fd_, SHUT_RDWR); }
 
  private:
-  int fd_;
+  const int fd_;
 };
 
 }  // namespace
 
 // --- TcpListener ---
 
-TcpListener::~TcpListener() { Close(); }
+TcpListener::~TcpListener() { close(fd_); }
 
 Result<std::unique_ptr<TcpListener>> TcpListener::Listen(
     const std::string& host, uint16_t port) {
@@ -166,36 +160,16 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Listen(
     close(fd);
     return status;
   }
-  Status nb = SetNonBlocking(fd);
-  if (!nb.ok()) {
-    close(fd);
-    return nb;
-  }
   return std::unique_ptr<TcpListener>(
       new TcpListener(fd, ntohs(bound.sin_port)));
 }
 
-Result<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return InvalidState() << "accept on closed listener";
-  struct pollfd pfd = {fd, POLLIN, 0};
-  int rc = poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : -1);
-  if (rc < 0) {
-    if (errno == EINTR) {
-      return DeadlineExceeded() << "accept interrupted";
-    }
-    return IOError() << "poll(accept): " << std::strerror(errno);
-  }
-  if (rc == 0) {
-    return DeadlineExceeded() << "no connection within " << timeout_ms
-                              << " ms";
-  }
-  if (pfd.revents & (POLLNVAL | POLLERR | POLLHUP)) {
-    return IOError() << "listener closed under accept";
-  }
-  int conn = accept(fd, nullptr, nullptr);
-  if (conn < 0) {
-    return IOError() << "accept: " << std::strerror(errno);
+Result<std::unique_ptr<Transport>> TcpListener::Accept() {
+  // A blocking accept: Close() shuts the listener down, which fails it
+  // with EINVAL.
+  int conn;
+  while ((conn = accept(fd_, nullptr, nullptr)) < 0) {
+    if (errno != EINTR) return IOError() << "accept: " << std::strerror(errno);
   }
   Status nb = SetNonBlocking(conn);
   if (!nb.ok()) {
@@ -207,10 +181,7 @@ Result<std::unique_ptr<Transport>> TcpListener::Accept(int timeout_ms) {
   return std::unique_ptr<Transport>(std::make_unique<TcpTransport>(conn));
 }
 
-void TcpListener::Close() {
-  const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) close(fd);
-}
+void TcpListener::Close() { shutdown(fd_, SHUT_RDWR); }
 
 Result<std::unique_ptr<Transport>> ConnectTcp(const std::string& host,
                                               uint16_t port, int timeout_ms) {
@@ -263,9 +234,8 @@ Result<std::unique_ptr<Transport>> ConnectTcp(const std::string& host,
 namespace {
 
 /// One direction of the pipe: a bounded byte buffer with close flags at
-/// both ends. Slicing the waits (<= 50 ms per CondVar wait) keeps the
-/// channel responsive to close() from the other thread even on infinite
-/// timeouts.
+/// both ends. Every state change (bytes in, bytes out, a close) notifies,
+/// so a wait lasts until a notify or the call's deadline and no longer.
 struct PipeChannel {
   explicit PipeChannel(size_t cap) : capacity(cap) {}
 
@@ -275,8 +245,6 @@ struct PipeChannel {
   const size_t capacity;
   bool writer_closed DMX_GUARDED_BY(mu) = false;
   bool reader_closed DMX_GUARDED_BY(mu) = false;
-
-  static constexpr std::chrono::milliseconds kWaitSlice{50};
 
   Result<size_t> ReadFrom(char* out, size_t n, int timeout_ms) {
     const bool timed = timeout_ms > 0;
@@ -290,7 +258,11 @@ struct PipeChannel {
         return DeadlineExceeded() << "pipe read timed out after "
                                   << timeout_ms << " ms";
       }
-      cv.WaitFor(&mu, kWaitSlice);
+      if (timed) {
+        cv.WaitFor(&mu, std::chrono::milliseconds(RemainingMs(true, deadline)));
+      } else {
+        cv.Wait(&mu);
+      }
     }
     size_t take = buf.size() < n ? buf.size() : n;
     std::memcpy(out, buf.data(), take);
@@ -315,7 +287,12 @@ struct PipeChannel {
                  << "pipe write stalled: peer accepted " << off << " of "
                  << data.size() << " bytes within " << timeout_ms << " ms";
         }
-        cv.WaitFor(&mu, kWaitSlice);
+        if (timed) {
+          cv.WaitFor(&mu,
+                     std::chrono::milliseconds(RemainingMs(true, deadline)));
+        } else {
+          cv.Wait(&mu);
+        }
         continue;
       }
       size_t chunk = data.size() - off < space ? data.size() - off : space;

@@ -10,18 +10,22 @@
 //     forces disconnects, truncates reads and injects stalls at the k-th
 //     operation, mirroring `FaultInjectionEnv`'s arm-a-fault style.
 //
-// Timeouts: every call takes `timeout_ms`; <= 0 means block indefinitely.
-// A timed-out call returns kDeadlineExceeded and is safe to retry — no
-// bytes are lost (reads buffer nothing; writes report how far they got via
-// the transport's internal cursor only on success, so a timed-out Write
-// may have transmitted a prefix: the connection is poisoned for framing
-// purposes and the caller must close, which is exactly how a real socket
-// behaves).
+// Timeouts: every call takes `timeout_ms`; <= 0 means block until data,
+// space, EOF or Close. A call blocks until its condition or its deadline,
+// never in slices, so an idle reader costs no wake-ups. A timed-out call
+// returns kDeadlineExceeded: a timed-out Read lost no bytes and may be
+// retried; a timed-out Write may have transmitted a prefix, so the stream
+// is no longer frame-aligned and the caller must close (exactly how a real
+// socket behaves).
+//
+// Close is the wake-up: it may be called from any thread, and every Read
+// or Write blocked on that transport returns (EOF or an error) instead of
+// waiting out its timeout. The server's drain relies on this to end idle
+// sessions.
 
 #ifndef DMX_SERVER_TRANSPORT_H_
 #define DMX_SERVER_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -52,7 +56,8 @@ class Transport {
   /// Half-close: signals EOF to the peer's reads; local reads still drain.
   virtual void ShutdownWrite() = 0;
 
-  /// Full close; all subsequent operations fail.
+  /// Full close, idempotent and callable from any thread: wakes every Read
+  /// and Write blocked on this transport, and later calls fail or see EOF.
   virtual void Close() = 0;
 };
 
@@ -70,19 +75,19 @@ class TcpListener {
   static Result<std::unique_ptr<TcpListener>> Listen(const std::string& host,
                                                      uint16_t port);
 
-  /// Accepts one connection; kDeadlineExceeded after `timeout_ms` so an
-  /// accept loop can poll a stop flag.
-  Result<std::unique_ptr<Transport>> Accept(int timeout_ms);
+  /// Blocks until one connection arrives or Close() is called (then an
+  /// error).
+  Result<std::unique_ptr<Transport>> Accept();
 
   uint16_t port() const { return port_; }
+  /// Stops listening and wakes a blocked Accept; callable from any thread.
+  /// The descriptor is released only by the destructor, so a concurrent
+  /// Accept never touches a reused fd.
   void Close();
 
  private:
   TcpListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
-  /// Atomic: Close() races with the accept thread's poll slice — Close
-  /// publishes -1 and the accept loop's next syscall on the stale fd fails
-  /// with EBADF, which AcceptLoop treats as shutdown once `stopped_` is set.
-  std::atomic<int> fd_;
+  const int fd_;
   uint16_t port_;
 };
 

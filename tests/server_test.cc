@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -64,6 +65,63 @@ class PipeSession {
  private:
   std::thread thread_;
 };
+
+// Server-end decorator counting Reads that return kDeadlineExceeded: each
+// is a wake-up that found nothing to do, which a woken (not polled)
+// session never has.
+class TimeoutCountingTransport : public Transport {
+ public:
+  TimeoutCountingTransport(std::unique_ptr<Transport> base,
+                           std::atomic<int>* timeouts)
+      : base_(std::move(base)), timeouts_(timeouts) {}
+
+  Result<size_t> Read(char* buf, size_t n, int timeout_ms) override {
+    Result<size_t> got = base_->Read(buf, n, timeout_ms);
+    if (!got.ok() && got.status().IsDeadlineExceeded()) {
+      timeouts_->fetch_add(1);
+    }
+    return got;
+  }
+  Status Write(std::string_view data, int timeout_ms) override {
+    return base_->Write(data, timeout_ms);
+  }
+  void ShutdownWrite() override { base_->ShutdownWrite(); }
+  void Close() override { base_->Close(); }
+
+ private:
+  std::unique_ptr<Transport> base_;
+  std::atomic<int>* timeouts_;
+};
+
+// Serves `server_end` (wrapped in a timeout counter), leaves the handshaken
+// client idle for 300 ms, then drains: the session must be woken by the
+// drain's Close, with no read ever timing out, and the drain must not wait
+// out a poll slice or the idle timeout.
+void ExpectIdleSessionIsWokenByDrain(std::unique_ptr<Transport> server_end,
+                                     std::unique_ptr<Transport> client_end) {
+  auto provider = MakePaperProvider();
+  DmxServer server(provider.get(), {});
+  std::atomic<int> timeouts{0};
+  PipeSession session(&server, std::make_unique<TimeoutCountingTransport>(
+                                   std::move(server_end), &timeouts));
+  auto client = DmxClient::Handshake(std::move(client_end), {});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  SystemRetryClock idle;
+  idle.SleepMs(300);
+  const auto start = std::chrono::steady_clock::now();
+  Status drained = server.Drain();
+  const auto drain_time = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(drained.ok()) << drained.ToString();
+  session.Join();
+
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_LT(drain_time, std::chrono::seconds(1));
+  DmxServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 1u);
+  EXPECT_EQ(stats.sessions_closed, 1u);
+  EXPECT_EQ(stats.frames_rejected, 0u);  // The wake-up is not a kill.
+}
 
 // --- wire codec ---
 
@@ -284,6 +342,28 @@ TEST(ServerPipeTest, IdleSessionIsDropped) {
   // session thread exits (Join would hang forever otherwise).
   session.Join();
   EXPECT_EQ(server.stats().sessions_closed, 1u);
+}
+
+TEST(ServerPipeTest, IdleSessionIsWokenByDrainNotPolled) {
+  auto [server_end, client_end] = MakeLocalPipe();
+  ExpectIdleSessionIsWokenByDrain(std::move(server_end),
+                                  std::move(client_end));
+}
+
+// The same over TCP: the drain's Close is a shutdown() that wakes the
+// session's blocked poll.
+TEST(ServerDrainTest, IdleTcpSessionIsWokenByDrainNotPolled) {
+  auto listener = TcpListener::Listen("", 0);
+  if (!listener.ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket here: "
+                 << listener.status().ToString();
+  }
+  auto client_end = ConnectTcp("127.0.0.1", (*listener)->port(), 5'000);
+  ASSERT_TRUE(client_end.ok()) << client_end.status().ToString();
+  auto server_end = (*listener)->Accept();
+  ASSERT_TRUE(server_end.ok()) << server_end.status().ToString();
+  ExpectIdleSessionIsWokenByDrain(std::move(*server_end),
+                                  std::move(*client_end));
 }
 
 TEST(ServerPipeTest, StalledReaderTripsTheWriteTimeout) {
@@ -679,6 +759,116 @@ TEST(ServerDrainTest, DrainCancelsAStatementQueuedInAdmission) {
   provider->admission()->Release();
   DmxServer::Stats stats = server.stats();
   EXPECT_EQ(stats.sessions_opened, stats.sessions_closed);
+}
+
+// A drain during a multi-chunk response to a slow reader never cuts the
+// response off: the client sees every row or a well-formed kCancelled Done
+// (the grace ran out and the statement's token fired), then EOF.
+TEST(ServerDrainTest, DrainDuringSlowStreamingEndsWithADone) {
+  constexpr int kRows = 200;
+  Provider provider;
+  datagen::WarehouseConfig warehouse;
+  warehouse.num_customers = kRows;
+  ASSERT_TRUE(
+      datagen::PopulateWarehouse(provider.database(), warehouse).ok());
+  ServerOptions options;
+  options.chunk_rows = 1;
+  options.drain_grace_ms = 50;
+  DmxServer server(&provider, options);
+  auto [server_end, client_end] = MakeLocalPipe(/*capacity=*/256);
+  PipeSession session(&server, std::move(server_end));
+
+  FrameReader reader(client_end.get());
+  ASSERT_TRUE(
+      client_end->Write(EncodeFrame(FrameType::kHello, EncodeHello({})), 1'000)
+          .ok());
+  auto ack = reader.Next(5'000);
+  ASSERT_TRUE(ack.ok() && ack->has_value());
+  RequestBody request;
+  request.request_id = 1;
+  request.statement = "SELECT * FROM Customers";
+  ASSERT_TRUE(
+      client_end
+          ->Write(EncodeFrame(FrameType::kRequest, EncodeRequest(request)),
+                  1'000)
+          .ok());
+
+  auto first = reader.Next(5'000);
+  ASSERT_TRUE(first.ok() && first->has_value());
+  ASSERT_EQ((*first)->type, FrameType::kSchema);
+  Status drained = Internal() << "not run";
+  std::thread draining([&] { drained = server.Drain(); });
+
+  SystemRetryClock slow;
+  size_t rows = 0;
+  std::optional<DoneBody> done;
+  while (!done.has_value()) {
+    slow.SleepMs(5);
+    auto next = reader.Next(5'000);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(next->has_value()) << "EOF after " << rows
+                                   << " rows, before the response's Done";
+    if ((*next)->type == FrameType::kChunk) {
+      auto chunk = DecodeChunk((*next)->body);
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      rows += chunk->rows.size();
+      continue;
+    }
+    ASSERT_EQ((*next)->type, FrameType::kDone);
+    auto body = DecodeDone((*next)->body);
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    done = std::move(*body);
+  }
+  if (done->ToStatus().ok()) {
+    EXPECT_EQ(rows, static_cast<size_t>(kRows));
+  } else {
+    EXPECT_TRUE(done->ToStatus().IsCancelled()) << done->ToStatus().ToString();
+    EXPECT_LT(rows, static_cast<size_t>(kRows));
+  }
+  auto eof = reader.Next(5'000);
+  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
+  EXPECT_FALSE(eof->has_value());
+
+  draining.join();
+  EXPECT_TRUE(drained.ok()) << drained.ToString();
+  client_end->Close();
+  session.Join();
+  DmxServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, stats.sessions_closed);
+}
+
+// A request sent once the drain has begun is either refused as retryable
+// kUnavailable or finds its session closed; it never executes.
+TEST(ServerDrainTest, RequestRacingDrainNeverExecutes) {
+  for (int round = 0; round < 10; ++round) {
+    auto provider = MakePaperProvider();
+    DmxServer server(provider.get(), {});
+    auto [server_end, client_end] = MakeLocalPipe();
+    PipeSession session(&server, std::move(server_end));
+    ClientOptions options;
+    options.retry.max_attempts = 1;
+    auto client = DmxClient::Handshake(std::move(client_end), options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+    Status drained = Internal() << "not run";
+    std::thread draining([&] { drained = server.Drain(); });
+    while (!server.draining()) std::this_thread::yield();
+    auto result = (*client)->Execute(
+        "CREATE MINING MODEL raced (cid LONG KEY, gender TEXT DISCRETE "
+        "PREDICT) USING Naive_Bayes");
+    draining.join();
+
+    ASSERT_FALSE(result.ok()) << "round " << round;
+    EXPECT_TRUE(result.status().IsUnavailable())
+        << "round " << round << ": " << result.status().ToString();
+    EXPECT_FALSE(provider->models()->HasModel("raced")) << "round " << round;
+    EXPECT_TRUE(drained.ok()) << drained.ToString();
+    (*client)->Close();
+    session.Join();
+    DmxServer::Stats stats = server.stats();
+    EXPECT_EQ(stats.statements_ok + stats.statements_failed, 0u);
+    EXPECT_EQ(stats.sessions_opened, stats.sessions_closed);
+  }
 }
 
 // The full state machine over real TCP: serve, ack statements, SIGTERM-

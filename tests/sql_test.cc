@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "relational/database.h"
 #include "relational/sql_executor.h"
 #include "relational/sql_parser.h"
+#include "relational/table.h"
 
 namespace dmx::rel {
 namespace {
@@ -42,6 +46,45 @@ class SqlTest : public ::testing::Test {
 
   Database db_;
 };
+
+// Complexity, not speed: a one-row INSERT must not reallocate the whole
+// table, so its median cost at 100k rows stays within 2x of its median cost
+// at 1k rows. The two tables take turns, so load from other processes
+// lands on both sides alike.
+TEST(TableTest, SingleRowInsertCostDoesNotGrowWithTheTable) {
+  constexpr int kSamples = 101;
+  constexpr int kBatch = 16;
+  auto schema = Schema::Make({ColumnDef("Id", DataType::kLong)});
+  Table small("Small", schema);
+  Table large("Large", schema);
+  ASSERT_TRUE(
+      small.InsertAll(std::vector<Row>(1'000, Row{Value::Long(0)})).ok());
+  ASSERT_TRUE(
+      large.InsertAll(std::vector<Row>(100'000, Row{Value::Long(0)})).ok());
+  // Wall time of kBatch single-row InsertAll calls into `table`.
+  auto time_batch = [](Table* table) {
+    std::vector<std::vector<Row>> batch(kBatch);
+    for (auto& one : batch) one.push_back(Row{Value::Long(1)});
+    const auto start = std::chrono::steady_clock::now();
+    for (auto& one : batch) EXPECT_TRUE(table->InsertAll(std::move(one)).ok());
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> small_ns, large_ns;
+  for (int s = 0; s < kSamples; ++s) {
+    if (s % 2 == 0) small_ns.push_back(time_batch(&small));
+    large_ns.push_back(time_batch(&large));
+    if (s % 2 == 1) small_ns.push_back(time_batch(&small));
+  }
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_LE(median(large_ns), 2 * median(small_ns))
+      << "ns per batch of " << kBatch << ": 1k rows " << median(small_ns)
+      << ", 100k rows " << median(large_ns);
+}
 
 TEST_F(SqlTest, SelectStarPreservesSchemaOrder) {
   Rowset r = Must("SELECT * FROM People");

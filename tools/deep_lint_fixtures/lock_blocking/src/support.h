@@ -8,3 +8,9 @@ struct SharedMutex {};
 struct WriterMutexLock {
   explicit WriterMutexLock(SharedMutex* mu);
 };
+struct MutexLock {
+  explicit MutexLock(Mutex* mu);
+};
+struct CondVar {
+  void Wait(Mutex* mu);
+};

@@ -1,6 +1,6 @@
 // Clean fixture: the same shapes as lock_blocking, kept clean the three
-// sanctioned ways — I/O hoisted before the critical section, a condition
-// wait that releases its own mutex, and the journal protocol sanctioned
+// sanctioned ways — I/O hoisted before the critical section, condition
+// waits (timed and untimed) that release their own mutex, and the journal protocol sanctioned
 // via CONFIG.json (whose io_cap covers the store's I/O-serializing mutex).
 #include "support.h"
 
@@ -27,6 +27,11 @@ class Provider {
   void WaitForWork() {
     MutexLock lock(&wake_mu_);
     cv_.WaitFor(&wake_mu_, 10);
+  }
+
+  void WaitUntilWoken() {
+    MutexLock lock(&wake_mu_);
+    cv_.Wait(&wake_mu_);
   }
 
   void BuildPayload(const char* record) { payload_size_ = Measure(record); }

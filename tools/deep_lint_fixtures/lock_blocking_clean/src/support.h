@@ -13,4 +13,5 @@ struct WriterMutexLock {
 };
 struct CondVar {
   bool WaitFor(Mutex* mu, int timeout_ms);
+  void Wait(Mutex* mu);
 };

@@ -6,7 +6,7 @@ tool builds a project-wide call graph plus per-function facts and runs three
 interprocedural rules:
 
   lock-blocking-call    a blocking operation (Env/WritableFile/Transport
-                        I/O, CondVar::WaitFor on another mutex, sleeps,
+                        I/O, CondVar::WaitFor/Wait on another mutex, sleeps,
                         fsync) is transitively reachable while an exclusive
                         DMX_REQUIRES capability or an exclusive RAII lock
                         scope is held. The store's own mutex exists to
@@ -119,7 +119,7 @@ ALWAYS_BLOCKING_CALLS = {
 # names also appear on Rowset/std containers, where they are pure memory).
 RECEIVER_BLOCKING_CALLS = {
     "Read", "Write", "Append", "Sync", "Flush", "Close", "Connect",
-    "Listen", "ShutdownWrite",
+    "Listen", "ShutdownWrite", "Wait",
 }
 
 # Functions allowed to block from their callers' point of view: the WAL
@@ -1611,7 +1611,7 @@ def check_lock_blocking(program):
         for call in fn["calls"]:
             held = [key for (key, lo, hi) in intervals
                     if lo <= call["line"] <= hi]
-            if call["name"] == "WaitFor" and call["arg0"]:
+            if call["name"] in ("WaitFor", "Wait") and call["arg0"]:
                 held = [k for k in held
                         if k.split("::")[-1] != call["arg0"]]
             if not held:

@@ -8,10 +8,6 @@
 #       parallel (recovery_threads=0) shard replay. On a single-core host
 #       both configurations degenerate to serial — the JSON's num_cpus
 #       field records the machine so readers can tell.
-#   bench/bench_serving.cc     -> BENCH_serving.json
-#       statement throughput (items_per_second) and p50/p95/p99 latency
-#       counters through the framed wire protocol at 1/8/32 concurrent
-#       sessions, plus graceful-drain latency with idle sessions attached.
 #   bench/bench_hotpath.cc     -> BENCH_hotpath.json
 #       allocs/row + bytes/row for the guard-checkpointed hot loops
 #       (scan+filter, SHAPE indexing, InsertCases, per-service prediction
@@ -25,8 +21,12 @@
 # committed numbers accumulate across machines instead of being overwritten
 # by whichever host ran last.
 #
+# Served throughput, latency and drain time are measured by dmxbench
+# (dmxbench/run.py), not here.
+#
 # Usage: tools/run_bench.sh [BUILD_DIR] [OUTPUT_DIR]
-#   BUILD_DIR   configured build directory (default: build)
+#   BUILD_DIR   build directory configured with -DCMAKE_BUILD_TYPE=Release
+#               (default: build); any other build type is refused
 #   OUTPUT_DIR  where the BENCH_*.json histories live (default: repo root)
 
 set -euo pipefail
@@ -52,9 +52,18 @@ if [[ ! -d "$BUILD_DIR" ]]; then
        "configure with: cmake -B '$BUILD_DIR' -S '$REPO_ROOT'" >&2
   exit 1
 fi
+# Numbers from an unoptimized build would enter the histories as if
+# comparable; refuse them, as dmxbench/run.py does.
+if ! grep -qx 'CMAKE_BUILD_TYPE:STRING=Release' "$BUILD_DIR/CMakeCache.txt" \
+    2>/dev/null; then
+  echo "run_bench: '$BUILD_DIR' is not a Release build;" \
+       "configure with: cmake -B '$BUILD_DIR' -S '$REPO_ROOT'" \
+       "-DCMAKE_BUILD_TYPE=Release" >&2
+  exit 1
+fi
 
 cmake --build "$BUILD_DIR" \
-  --target bench_concurrency bench_recovery bench_serving \
+  --target bench_concurrency bench_recovery \
   -j "$(nproc)"
 
 "$BUILD_DIR/bench/bench_concurrency" \
@@ -72,14 +81,6 @@ append concurrency
   --benchmark_min_time=0.2
 
 append recovery
-
-"$BUILD_DIR/bench/bench_serving" \
-  --benchmark_format=console \
-  --benchmark_out="$TMP_DIR/serving.json" \
-  --benchmark_out_format=json \
-  --benchmark_min_time=0.2
-
-append serving
 
 # Allocation accounting needs the counting operators compiled in, which the
 # main build tree deliberately leaves off (zero-overhead default). Configure
