@@ -106,8 +106,11 @@ std::string Expr(Rng& rng, int depth) {
 
 std::string PredictionExpr(Rng& rng, int depth) {
   static const std::vector<std::string> kFns = {
-      "Predict",        "PredictProbability", "PredictSupport",
-      "PredictHistogram", "Cluster",          "ClusterProbability"};
+      "Predict",          "PredictAssociation", "PredictProbability",
+      "PredictSupport",   "PredictVariance",    "PredictStdev",
+      "PredictHistogram", "TopCount",           "RangeMin",
+      "RangeMid",         "RangeMax",           "Cluster",
+      "ClusterProbability"};
   if (depth <= 0 || rng.Chance(35)) {
     switch (rng.Below(4)) {
       case 0:
@@ -121,7 +124,13 @@ std::string PredictionExpr(Rng& rng, int depth) {
     }
   }
   std::string call = rng.Pick(kFns) + "(" + PredictionExpr(rng, depth - 1);
-  if (rng.Chance(30)) call += ", " + RandomLiteral(rng);
+  // Up to two more arguments (a value or rank, then a count), so the binder
+  // sees TopCount's full arity next to every wrong one.
+  if (rng.Chance(30)) {
+    call += ", " + (rng.Chance(50) ? std::string("$Probability")
+                                   : RandomLiteral(rng));
+    if (rng.Chance(40)) call += ", " + RandomLiteral(rng);
+  }
   return call + ")";
 }
 
@@ -256,7 +265,11 @@ std::string PredictionJoin(Rng& rng) {
     stmt += " ON [" + ModelName(rng) + "].[" + ColumnName(rng) + "] = t.[" +
             ColumnName(rng) + "]";
   }
-  if (rng.Chance(25)) stmt += " WHERE " + Comparison(rng, 1);
+  if (rng.Chance(15)) {
+    stmt += " WHERE " + Comparison(rng, 1);
+  } else if (rng.Chance(15)) {
+    stmt += " WHERE " + PredictionExpr(rng, 1) + " > " + RandomLiteral(rng);
+  }
   return stmt;
 }
 

@@ -91,6 +91,9 @@ class [[nodiscard]] Status {
   std::string ToString() const;
 
   bool IsNotFound() const { return code() == StatusCode::kNotFound; }
+  bool IsInvalidArgument() const {
+    return code() == StatusCode::kInvalidArgument;
+  }
   bool IsParseError() const { return code() == StatusCode::kParseError; }
   bool IsBindError() const { return code() == StatusCode::kBindError; }
   bool IsNotSupported() const { return code() == StatusCode::kNotSupported; }

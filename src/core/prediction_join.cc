@@ -30,16 +30,15 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
   }
   Rowset out(Schema::Make(std::move(columns)));
   const size_t nested_width = table_col.nested->num_columns();
+  // An empty or NULL table still yields its outer row, padded with NULLs.
+  const std::vector<Row> null_rows(1, Row(nested_width, Value::Null()));
   for (const Row& row : input.rows()) {
     DMX_RETURN_IF_ERROR(GuardCheck());
-    std::vector<Row> nested_rows;
-    if (row[column].is_table() && row[column].table_value() != nullptr &&
-        row[column].table_value()->num_rows() > 0) {
-      nested_rows = row[column].table_value()->rows();
-    } else {
-      nested_rows.push_back(Row(nested_width, Value::Null()));
-    }
-    for (const Row& nested : nested_rows) {
+    const Value& cell = row[column];
+    const bool has_rows = cell.is_table() && cell.table_value() != nullptr &&
+                          cell.table_value()->num_rows() > 0;
+    for (const Row& nested :
+         has_rows ? cell.table_value()->rows() : null_rows) {
       DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
       Row flat;
       flat.reserve(row.size() - 1 + nested_width);
@@ -105,36 +104,37 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
                                       stmt.source_alias,
                                       stmt.natural ? nullptr : &stmt.on));
 
-  // Output schema from the projection items.
+  // Bind once, before any case is scored: the items in order, then the
+  // WHERE operands. The output schema is the bound items' columns.
+  const Schema& source_schema = *source.schema();
+  std::vector<BoundDmxExpr> items;
   std::vector<ColumnDef> columns;
+  items.reserve(stmt.items.size());
   columns.reserve(stmt.items.size());
   for (const DmxSelectItem& item : stmt.items) {
-    DMX_ASSIGN_OR_RETURN(
-        ColumnDef def,
-        InferDmxItemColumn(item.expr, item.alias, *model, *source.schema(),
-                           stmt.source_alias));
-    columns.push_back(std::move(def));
+    DMX_ASSIGN_OR_RETURN(BoundDmxExpr bound,
+                         BindDmxExpr(item.expr, *model, source_schema,
+                                     stmt.source_alias));
+    columns.push_back(bound.column);
+    if (!item.alias.empty()) columns.back().name = item.alias;
+    items.push_back(std::move(bound));
+  }
+  std::vector<std::pair<BoundDmxExpr, BoundDmxExpr>> filters;
+  filters.reserve(stmt.where.size());
+  for (const DmxFilter& filter : stmt.where) {
+    DMX_ASSIGN_OR_RETURN(BoundDmxExpr lhs,
+                         BindDmxExpr(filter.lhs, *model, source_schema,
+                                     stmt.source_alias));
+    DMX_ASSIGN_OR_RETURN(BoundDmxExpr rhs,
+                         BindDmxExpr(filter.rhs, *model, source_schema,
+                                     stmt.source_alias));
+    filters.emplace_back(std::move(lhs), std::move(rhs));
   }
   Rowset out(Schema::Make(std::move(columns)));
 
   PredictOptions options;
-
-  // Per-statement binding: resolve every column path in the projection and
-  // WHERE clause once, so the per-case loop below does no name lookups and
-  // builds no schemas.
-  DmxExprBindings bindings;
-  for (const DmxSelectItem& item : stmt.items) {
-    bindings.Prepare(item.expr, *model, *source.schema(), stmt.source_alias);
-  }
-  for (const DmxFilter& filter : stmt.where) {
-    bindings.Prepare(filter.lhs, *model, *source.schema(), stmt.source_alias);
-    bindings.Prepare(filter.rhs, *model, *source.schema(), stmt.source_alias);
-  }
   PredictionRowContext ctx;
   ctx.model = model;
-  ctx.source_schema = source.schema().get();
-  ctx.source_alias = stmt.source_alias;
-  ctx.bindings = &bindings;
 
   size_t limit = stmt.top.has_value() ? static_cast<size_t>(*stmt.top)
                                       : source.num_rows();
@@ -151,20 +151,21 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).
     bool keep = true;
-    for (const DmxFilter& filter : stmt.where) {
-      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(filter.lhs, ctx));
-      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(filter.rhs, ctx));
+    for (size_t f = 0; f < filters.size(); ++f) {
+      const std::string& op = stmt.where[f].op;
+      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(filters[f].first, ctx));
+      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(filters[f].second, ctx));
       if (lhs.is_null() || rhs.is_null()) {
         keep = false;
         break;
       }
       int cmp = lhs.Compare(rhs);
-      bool pass = filter.op == "=" ? lhs.Equals(rhs)
-                  : filter.op == "<>" ? !lhs.Equals(rhs)
-                  : filter.op == "<" ? cmp < 0
-                  : filter.op == "<=" ? cmp <= 0
-                  : filter.op == ">" ? cmp > 0
-                                     : cmp >= 0;
+      bool pass = op == "=" ? lhs.Equals(rhs)
+                  : op == "<>" ? !lhs.Equals(rhs)
+                  : op == "<" ? cmp < 0
+                  : op == "<=" ? cmp <= 0
+                  : op == ">" ? cmp > 0
+                              : cmp >= 0;
       if (!pass) {
         keep = false;
         break;
@@ -174,9 +175,9 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     // Each output row is moved into the result, so its buffer cannot be
     // reused across cases.
     Row out_row;  // dmx-lint: allow(hot-loop-alloc)
-    out_row.reserve(stmt.items.size());
-    for (const DmxSelectItem& item : stmt.items) {
-      DMX_ASSIGN_OR_RETURN(Value v, EvaluateDmxExpr(item.expr, ctx));
+    out_row.reserve(items.size());
+    for (const BoundDmxExpr& item : items) {
+      DMX_ASSIGN_OR_RETURN(Value v, EvaluateDmxExpr(item, ctx));
       out_row.push_back(std::move(v));
     }
     DMX_RETURN_IF_ERROR(GuardChargeOutputRows(1));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/string_util.h"
 
@@ -9,60 +10,290 @@ namespace dmx {
 
 namespace {
 
+using Fn = BoundDmxExpr::Fn;
+
 // ---------------------------------------------------------------------------
-// Path resolution
+// Binding
 // ---------------------------------------------------------------------------
 
-using BoundPath = DmxExprBindings::BoundPath;
+// What a bind step resolves names against.
+struct BindScope {
+  const MiningModel& model;
+  const Schema& source;
+  const std::string& source_alias;
+};
 
-Result<BoundPath> ResolvePath(const std::vector<std::string>& path,
-                              const MiningModel& model,
-                              const Schema& source,
-                              const std::string& source_alias) {
-  const std::string& model_name = model.definition().model_name;
-  BoundPath out;
-  if (path.size() == 2) {
-    if (!source_alias.empty() && EqualsCi(path[0], source_alias)) {
-      DMX_ASSIGN_OR_RETURN(size_t idx, source.ResolveColumn(path[1]));
-      out.source_column = static_cast<int>(idx);
-      return out;
-    }
-    if (EqualsCi(path[0], model_name)) {
-      if (model.definition().FindColumn(path[1]) == nullptr) {
-        return BindError() << "model '" << model_name << "' has no column '"
-                           << path[1] << "'";
-      }
-      out.is_model = true;
-      out.model_column = path[1];
-      return out;
-    }
-    return BindError() << "unknown qualifier '" << path[0]
-                       << "' (expected the model name or the source alias)";
-  }
-  if (path.size() == 1) {
-    // Prefer the model column (the paper qualifies ambiguous references).
-    if (model.definition().FindColumn(path[0]) != nullptr) {
-      out.is_model = true;
-      out.model_column = path[0];
-      return out;
-    }
-    int idx = source.FindColumn(path[0]);
-    if (idx >= 0) {
-      out.source_column = idx;
-      return out;
-    }
-    return BindError() << "column '" << path[0]
-                       << "' exists neither in the model nor in the source";
-  }
-  return BindError() << "unsupported column path depth " << path.size();
+// One shipped UDF: its name, bound function and arity. `arity` completes
+// the diagnostic "<name> takes <arity>".
+struct Udf {
+  const char* name;
+  Fn fn;
+  size_t min_args;
+  size_t max_args;
+  const char* arity;
+};
+
+constexpr Udf kUdfs[] = {
+    {"Predict", Fn::kPredict, 1, 2, "1 or 2 arguments"},
+    {"PredictAssociation", Fn::kPredict, 1, 2, "1 or 2 arguments"},
+    {"PredictProbability", Fn::kPredictProbability, 1, 2, "1 or 2 arguments"},
+    {"PredictSupport", Fn::kPredictSupport, 1, 2, "1 or 2 arguments"},
+    {"PredictVariance", Fn::kPredictVariance, 1, 2, "1 or 2 arguments"},
+    {"PredictStdev", Fn::kPredictStdev, 1, 2, "1 or 2 arguments"},
+    {"PredictHistogram", Fn::kPredictHistogram, 1, 1, "exactly 1 argument"},
+    {"TopCount", Fn::kTopCount, 3, 3, "(table expr, rank column, count)"},
+    {"RangeMin", Fn::kRangeMin, 1, 1, "exactly 1 argument"},
+    {"RangeMid", Fn::kRangeMid, 1, 1, "exactly 1 argument"},
+    {"RangeMax", Fn::kRangeMax, 1, 1, "exactly 1 argument"},
+    {"Cluster", Fn::kCluster, 0, 0, "no arguments"},
+    {"ClusterProbability", Fn::kClusterProbability, 0, 0, "no arguments"},
+};
+
+DataType LiteralType(const Value& literal) {
+  return literal.is_long()     ? DataType::kLong
+         : literal.is_double() ? DataType::kDouble
+         : literal.is_bool()   ? DataType::kBool
+                               : DataType::kText;
 }
+
+DataType ModelColumnType(const ModelColumn& spec) {
+  if (spec.attr_type == AttributeType::kDiscretized) return DataType::kDouble;
+  return spec.data_type;
+}
+
+// Schema of the histogram tables built for model column `spec`, spelled
+// `column` in the statement: the value column takes the nested KEY's name
+// for TABLE targets and the column's own name for scalar targets.
+std::shared_ptr<const Schema> HistogramSchema(const ModelColumn& spec,
+                                              const std::string& column) {
+  ColumnDef value(column, ModelColumnType(spec));
+  if (spec.is_table()) {
+    for (const ModelColumn& nested : spec.nested) {
+      if (nested.is_key()) {
+        value = ColumnDef(nested.name, nested.data_type);
+        break;
+      }
+    }
+  }
+  return Schema::Make({std::move(value),
+                       {"$SUPPORT", DataType::kDouble},
+                       {"$PROBABILITY", DataType::kDouble},
+                       {"$VARIANCE", DataType::kDouble},
+                       {"$STDEV", DataType::kDouble}});
+}
+
+// A column path: a source column, or a model column whose value is its
+// prediction (declared as its histogram table for TABLE columns).
+Result<BoundDmxExpr> BindPath(const std::vector<std::string>& path,
+                              const BindScope& scope) {
+  const ModelDefinition& def = scope.model.definition();
+  BoundDmxExpr out;
+  auto bind_source = [&](size_t index) {
+    out.fn = Fn::kSourceColumn;
+    out.source_column = static_cast<int>(index);
+    out.column = scope.source.column(index);
+    return out;
+  };
+  if (path.size() == 2) {
+    if (!scope.source_alias.empty() && EqualsCi(path[0], scope.source_alias)) {
+      DMX_ASSIGN_OR_RETURN(size_t index, scope.source.ResolveColumn(path[1]));
+      return bind_source(index);
+    }
+    if (!EqualsCi(path[0], def.model_name)) {
+      return BindError() << "unknown qualifier '" << path[0]
+                         << "' (expected the model name or the source alias)";
+    }
+    if (def.FindColumn(path[1]) == nullptr) {
+      return BindError() << "model '" << def.model_name << "' has no column '"
+                         << path[1] << "'";
+    }
+  } else if (path.size() == 1) {
+    // Prefer the model column (the paper qualifies ambiguous references).
+    if (def.FindColumn(path[0]) == nullptr) {
+      int index = scope.source.FindColumn(path[0]);
+      if (index < 0) {
+        return BindError() << "column '" << path[0]
+                           << "' exists neither in the model nor in the source";
+      }
+      return bind_source(static_cast<size_t>(index));
+    }
+  } else {
+    return BindError() << "unsupported column path depth " << path.size();
+  }
+  out.fn = Fn::kModelColumn;
+  out.model_column = path.back();
+  const ModelColumn& spec = *def.FindColumn(out.model_column);
+  out.column = spec.is_table()
+                   ? ColumnDef("", HistogramSchema(spec, out.model_column))
+                   : ColumnDef("", ModelColumnType(spec));
+  return out;
+}
+
+// Binds a Predict*/Range* function's first argument, which must name a
+// model column, into `out`; returns that column's definition.
+Result<const ModelColumn*> BindModelColumnArg(const Udf& udf,
+                                              const DmxExpr& arg,
+                                              const BindScope& scope,
+                                              BoundDmxExpr* out) {
+  if (arg.kind != DmxExpr::Kind::kColumnPath) {
+    return BindError() << udf.name << ": expected a model column reference, "
+                       << "got " << arg.ToString();
+  }
+  DMX_ASSIGN_OR_RETURN(BoundDmxExpr path, BindPath(arg.path, scope));
+  if (path.fn != Fn::kModelColumn) {
+    return BindError() << udf.name << ": " << arg.ToString()
+                       << " is a source column, not a model column";
+  }
+  out->model_column = std::move(path.model_column);
+  out->column = std::move(path.column);
+  return scope.model.definition().FindColumn(out->model_column);
+}
+
+Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope);
+
+Status BindTopCount(const DmxExpr& expr, const BindScope& scope,
+                    BoundDmxExpr* out) {
+  DMX_ASSIGN_OR_RETURN(BoundDmxExpr table, Bind(expr.args[0], scope));
+  if (table.column.type != DataType::kTable ||
+      table.column.nested == nullptr) {
+    return InvalidArgument() << "TopCount: first argument is not a table";
+  }
+  // Rank column: $Stat or a column name.
+  const DmxExpr& rank = expr.args[1];
+  std::string rank_name;
+  if (rank.kind == DmxExpr::Kind::kDollar) {
+    rank_name = "$" + ToUpper(rank.dollar);
+  } else if (rank.kind == DmxExpr::Kind::kColumnPath && rank.path.size() == 1) {
+    rank_name = rank.path[0];
+  } else {
+    return InvalidArgument() << "TopCount: rank must be $Stat or a column name";
+  }
+  const DmxExpr& count = expr.args[2];
+  if (count.kind != DmxExpr::Kind::kLiteral || !count.literal.is_long()) {
+    return InvalidArgument() << "TopCount: count must be an integer literal";
+  }
+  out->count = count.literal.long_value();
+  DMX_ASSIGN_OR_RETURN(out->rank_column,
+                       table.column.nested->ResolveColumn(rank_name));
+  out->column = table.column;
+  out->args.push_back(std::move(table));
+  return Status::OK();
+}
+
+// Binds a function whose first argument is a model column.
+Status BindModelFunction(const Udf& udf, const DmxExpr& expr,
+                         const BindScope& scope, BoundDmxExpr* out) {
+  DMX_ASSIGN_OR_RETURN(const ModelColumn* spec,
+                       BindModelColumnArg(udf, expr.args[0], scope, out));
+  switch (udf.fn) {
+    case Fn::kPredict:
+      // On a TABLE column the optional n caps the recommended items; on a
+      // scalar column Predict is the best estimate and ignores it.
+      if (spec->is_table()) {
+        out->count = 10;
+        if (expr.args.size() == 2) {
+          const DmxExpr& n = expr.args[1];
+          if (n.kind != DmxExpr::Kind::kLiteral || !n.literal.is_long()) {
+            return InvalidArgument()
+                   << "Predict(<table>, n): n must be an integer";
+          }
+          out->count = n.literal.long_value();
+        }
+      }
+      return Status::OK();
+    case Fn::kPredictHistogram:
+      out->column = ColumnDef("", HistogramSchema(*spec, out->model_column));
+      return Status::OK();
+    case Fn::kRangeMin:
+    case Fn::kRangeMid:
+    case Fn::kRangeMax: {
+      int index = scope.model.attributes().FindAttribute(out->model_column);
+      if (index < 0) {
+        return BindError() << udf.name << ": '" << out->model_column
+                           << "' is not a scalar attribute";
+      }
+      const Attribute& attr = scope.model.attributes().attributes[index];
+      if (!attr.is_discretized()) {
+        return InvalidArgument() << udf.name << ": '" << out->model_column
+                                 << "' is not DISCRETIZED";
+      }
+      out->bucket_bounds = attr.bucket_bounds;
+      out->column = ColumnDef("", DataType::kDouble);
+      return Status::OK();
+    }
+    default:  // PredictProbability / Support / Variance / Stdev
+      if (expr.args.size() == 2) {
+        if (expr.args[1].kind != DmxExpr::Kind::kLiteral) {
+          return InvalidArgument()
+                 << udf.name << ": second argument must be a literal value";
+        }
+        out->explicit_value = expr.args[1].literal;
+      }
+      out->column = ColumnDef("", DataType::kDouble);
+      return Status::OK();
+  }
+}
+
+Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
+  BoundDmxExpr out;
+  switch (expr.kind) {
+    case DmxExpr::Kind::kLiteral:
+      out.literal = expr.literal;
+      out.column = ColumnDef(expr.ToString(), LiteralType(expr.literal));
+      return out;
+    case DmxExpr::Kind::kDollar:
+      return BindError() << "$" << expr.dollar
+                         << " is only meaningful inside table functions";
+    case DmxExpr::Kind::kColumnPath: {
+      DMX_ASSIGN_OR_RETURN(out, BindPath(expr.path, scope));
+      out.column.name = expr.path.back();
+      return out;
+    }
+    case DmxExpr::Kind::kFunction:
+      break;
+  }
+  const Udf* udf = nullptr;
+  for (const Udf& candidate : kUdfs) {
+    if (EqualsCi(expr.function, candidate.name)) {
+      udf = &candidate;
+      break;
+    }
+  }
+  if (udf == nullptr) {
+    return NotSupported() << "unknown function '" << expr.function << "'";
+  }
+  if (expr.args.size() < udf->min_args || expr.args.size() > udf->max_args) {
+    return InvalidArgument() << udf->name << " takes " << udf->arity;
+  }
+  out.fn = udf->fn;
+  switch (udf->fn) {
+    case Fn::kCluster:
+      out.column = ColumnDef("", DataType::kText);
+      break;
+    case Fn::kClusterProbability:
+      out.column = ColumnDef("", DataType::kDouble);
+      break;
+    case Fn::kTopCount:
+      DMX_RETURN_IF_ERROR(BindTopCount(expr, scope, &out));
+      break;
+    default:
+      DMX_RETURN_IF_ERROR(BindModelFunction(*udf, expr, scope, &out));
+      break;
+  }
+  out.column.name = expr.ToString();
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation
+// ---------------------------------------------------------------------------
 
 // The prediction for a model column; errors when the column is not a target.
 Result<const AttributePrediction*> TargetPrediction(
-    const std::string& column, const PredictionRowContext& ctx) {
-  const AttributePrediction* p = ctx.prediction->Find(column);
+    const BoundDmxExpr& expr, const PredictionRowContext& ctx) {
+  const AttributePrediction* p = ctx.prediction->Find(expr.model_column);
   if (p == nullptr) {
-    return BindError() << "column '" << column
+    return BindError() << "column '" << expr.model_column
                        << "' is not predicted by model '"
                        << ctx.model->definition().model_name
                        << "' (is it marked PREDICT?)";
@@ -70,84 +301,10 @@ Result<const AttributePrediction*> TargetPrediction(
   return p;
 }
 
-// The binding for a column-path expression: the statement's prepared cache
-// when available, live resolution into `scratch` otherwise. The returned
-// pointer aliases either the cache or `scratch` — no per-row string copies.
-Result<const BoundPath*> BoundPathFor(const DmxExpr& expr,
-                                      const PredictionRowContext& ctx,
-                                      BoundPath* scratch) {
-  if (ctx.bindings != nullptr) {
-    if (const BoundPath* bound = ctx.bindings->Find(expr)) return bound;
-  }
-  DMX_ASSIGN_OR_RETURN(*scratch, ResolvePath(expr.path, *ctx.model,
-                                             *ctx.source_schema,
-                                             ctx.source_alias));
-  return scratch;
-}
-
-// Resolving Predict*-style first arguments down to a model column binding.
-Result<const BoundPath*> ModelColumnArg(const DmxExpr& arg,
-                                        const PredictionRowContext& ctx,
-                                        BoundPath* scratch) {
-  if (arg.kind != DmxExpr::Kind::kColumnPath) {
-    return BindError() << "expected a model column reference, got "
-                       << arg.ToString();
-  }
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound, BoundPathFor(arg, ctx, scratch));
-  if (!bound->is_model) {
-    return BindError() << arg.ToString() << " is a source column; Predict "
-                       << "functions take model columns";
-  }
-  return bound;
-}
-
-// ---------------------------------------------------------------------------
-// Nested-table construction
-// ---------------------------------------------------------------------------
-
-DataType ModelColumnType(const MiningModel& model, const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec == nullptr) return DataType::kText;
-  if (spec->attr_type == AttributeType::kDiscretized) return DataType::kDouble;
-  return spec->data_type;
-}
-
-// Name of the value column inside histogram tables: the nested KEY name for
-// TABLE targets, the column's own name for scalar targets.
-std::string HistogramValueColumnName(const MiningModel& model,
-                                     const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec != nullptr && spec->is_table()) {
-    for (const ModelColumn& nested : spec->nested) {
-      if (nested.is_key()) return nested.name;
-    }
-  }
-  return column;
-}
-
-DataType HistogramValueColumnType(const MiningModel& model,
-                                  const std::string& column) {
-  const ModelColumn* spec = model.definition().FindColumn(column);
-  if (spec != nullptr && spec->is_table()) {
-    for (const ModelColumn& nested : spec->nested) {
-      if (nested.is_key()) return nested.data_type;
-    }
-  }
-  return ModelColumnType(model, column);
-}
-
-std::shared_ptr<const Schema> HistogramSchema(const MiningModel& model,
-                                              const std::string& column) {
-  return Schema::Make({{HistogramValueColumnName(model, column),
-                        HistogramValueColumnType(model, column)},
-                       {"$SUPPORT", DataType::kDouble},
-                       {"$PROBABILITY", DataType::kDouble},
-                       {"$VARIANCE", DataType::kDouble},
-                       {"$STDEV", DataType::kDouble}});
-}
-
-Value HistogramTable(const MiningModel& model, const BoundPath& bound,
-                     const AttributePrediction& prediction, int limit) {
+// The top `limit` histogram entries (all when limit <= 0) as a nested table
+// of the node's declared histogram schema.
+Value HistogramTable(const BoundDmxExpr& expr,
+                     const AttributePrediction& prediction, int64_t limit) {
   std::vector<Row> rows;
   size_t n = prediction.histogram.size();
   if (limit > 0) n = std::min(n, static_cast<size_t>(limit));
@@ -158,389 +315,136 @@ Value HistogramTable(const MiningModel& model, const BoundPath& bound,
                     Value::Double(sv.probability), Value::Double(sv.variance),
                     Value::Double(sv.stdev())});
   }
-  std::shared_ptr<const Schema> schema =
-      bound.histogram_schema != nullptr
-          ? bound.histogram_schema
-          : HistogramSchema(model, bound.model_column);
-  return Value::Table(NestedTable::Make(std::move(schema), std::move(rows)));
+  return Value::Table(NestedTable::Make(expr.column.nested, std::move(rows)));
 }
 
-// Histogram entry matching an explicit value argument.
-const ScoredValue* FindHistogramValue(const AttributePrediction& prediction,
-                                      const Value& value) {
-  for (const ScoredValue& sv : prediction.histogram) {
-    if (sv.value.Equals(value)) return &sv;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Individual UDFs
-// ---------------------------------------------------------------------------
-
-Result<Value> EvalPredict(const DmxExpr& expr, const PredictionRowContext& ctx) {
-  if (expr.args.empty() || expr.args.size() > 2) {
-    return InvalidArgument() << "Predict takes 1 or 2 arguments";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  const ModelColumn* spec =
-      ctx.model->definition().FindColumn(bound->model_column);
-  if (spec != nullptr && spec->is_table()) {
-    int limit = 10;
-    if (expr.args.size() == 2) {
-      if (expr.args[1].kind != DmxExpr::Kind::kLiteral ||
-          !expr.args[1].literal.is_long()) {
-        return InvalidArgument() << "Predict(<table>, n): n must be an integer";
-      }
-      limit = static_cast<int>(expr.args[1].literal.long_value());
-    }
-    return HistogramTable(*ctx.model, *bound, *p, limit);
-  }
-  return p->predicted;
-}
-
-enum class Stat { kProbability, kSupport, kVariance, kStdev };
-
-Result<Value> EvalPredictStat(const DmxExpr& expr,
-                              const PredictionRowContext& ctx, Stat stat) {
-  if (expr.args.empty() || expr.args.size() > 2) {
-    return InvalidArgument() << expr.function << " takes 1 or 2 arguments";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  double probability = p->probability;
-  double support = p->support;
-  double variance = p->variance;
-  if (expr.args.size() == 2) {
-    if (expr.args[1].kind != DmxExpr::Kind::kLiteral) {
-      return InvalidArgument() << expr.function
-                               << ": second argument must be a literal value";
-    }
-    const ScoredValue* sv = FindHistogramValue(*p, expr.args[1].literal);
-    if (sv == nullptr) {
-      probability = 0;
-      support = 0;
-      variance = 0;
-    } else {
-      probability = sv->probability;
-      support = sv->support;
-      variance = sv->variance;
+Value PredictStat(const BoundDmxExpr& expr, const AttributePrediction& p) {
+  double probability = p.probability;
+  double support = p.support;
+  double variance = p.variance;
+  if (expr.explicit_value.has_value()) {
+    // The explicit value's histogram entry; an unknown value scores 0.
+    probability = support = variance = 0;
+    for (const ScoredValue& sv : p.histogram) {
+      if (!sv.value.Equals(*expr.explicit_value)) continue;
+      probability = sv.probability;
+      support = sv.support;
+      variance = sv.variance;
+      break;
     }
   }
-  switch (stat) {
-    case Stat::kProbability:
+  switch (expr.fn) {
+    case Fn::kPredictProbability:
       return Value::Double(probability);
-    case Stat::kSupport:
+    case Fn::kPredictSupport:
       return Value::Double(support);
-    case Stat::kVariance:
+    case Fn::kPredictVariance:
       return Value::Double(variance);
-    case Stat::kStdev:
+    default:  // kPredictStdev
       return Value::Double(variance > 0 ? std::sqrt(variance) : 0);
   }
-  return Internal() << "unreachable stat";
 }
 
-Result<Value> EvalPredictHistogram(const DmxExpr& expr,
-                                   const PredictionRowContext& ctx) {
-  if (expr.args.size() != 1) {
-    return InvalidArgument() << "PredictHistogram takes exactly 1 argument";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(bound->model_column, ctx));
-  return HistogramTable(*ctx.model, *bound, *p, /*limit=*/0);
-}
-
-Result<Value> EvalTopCount(const DmxExpr& expr,
-                           const PredictionRowContext& ctx) {
-  if (expr.args.size() != 3) {
-    return InvalidArgument()
-           << "TopCount takes (table expr, rank column, count)";
-  }
-  DMX_ASSIGN_OR_RETURN(Value table, EvaluateDmxExpr(expr.args[0], ctx));
-  if (!table.is_table() || table.table_value() == nullptr) {
-    return InvalidArgument() << "TopCount: first argument is not a table";
-  }
-  // Rank column: $Stat or a column name.
-  std::string rank_name;
-  if (expr.args[1].kind == DmxExpr::Kind::kDollar) {
-    rank_name = "$" + ToUpper(expr.args[1].dollar);
-  } else if (expr.args[1].kind == DmxExpr::Kind::kColumnPath &&
-             expr.args[1].path.size() == 1) {
-    rank_name = expr.args[1].path[0];
-  } else {
-    return InvalidArgument() << "TopCount: rank must be $Stat or a column name";
-  }
-  if (expr.args[2].kind != DmxExpr::Kind::kLiteral ||
-      !expr.args[2].literal.is_long()) {
-    return InvalidArgument() << "TopCount: count must be an integer literal";
-  }
-  int64_t count = expr.args[2].literal.long_value();
-  const NestedTable& nested = *table.table_value();
-  DMX_ASSIGN_OR_RETURN(size_t rank_col,
-                       nested.schema()->ResolveColumn(rank_name));
-  std::vector<Row> rows = nested.rows();
-  std::stable_sort(rows.begin(), rows.end(),
-                   [rank_col](const Row& a, const Row& b) {
-                     return a[rank_col].Compare(b[rank_col]) > 0;
-                   });
-  if (rows.size() > static_cast<size_t>(count)) {
-    rows.resize(static_cast<size_t>(count));
-  }
-  return Value::Table(NestedTable::Make(nested.schema(), std::move(rows)));
-}
-
-enum class RangePoint { kMin, kMid, kMax };
-
-Result<Value> EvalRange(const DmxExpr& expr, const PredictionRowContext& ctx,
-                        RangePoint point) {
-  if (expr.args.size() != 1) {
-    return InvalidArgument() << expr.function << " takes exactly 1 argument";
-  }
-  BoundPath scratch;
-  DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                       ModelColumnArg(expr.args[0], ctx, &scratch));
-  const std::string& column = bound->model_column;
-  int attr_index = ctx.model->attributes().FindAttribute(column);
-  if (attr_index < 0) {
-    return BindError() << expr.function << ": '" << column
-                       << "' is not a scalar attribute";
-  }
-  const Attribute& attr = ctx.model->attributes().attributes[attr_index];
-  if (!attr.is_discretized()) {
-    return InvalidArgument() << expr.function << ": '" << column
-                             << "' is not DISCRETIZED";
-  }
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(column, ctx));
-  if (p->histogram.empty() || p->histogram[0].state < 0) return Value::Null();
-  int bucket = p->histogram[0].state;
-  const auto& bounds = attr.bucket_bounds;
+// RangeMin/Mid/Max: the bounds of the predicted DISCRETIZED bucket.
+Value Range(const BoundDmxExpr& expr, const AttributePrediction& p) {
+  const std::vector<double>& bounds = expr.bucket_bounds;
   const int n = static_cast<int>(bounds.size());
-  if (n == 0) return Value::Null();
+  if (p.histogram.empty() || p.histogram[0].state < 0 || n == 0) {
+    return Value::Null();
+  }
+  int bucket = p.histogram[0].state;
   bool open_low = bucket <= 0;
   bool open_high = bucket >= n;
   double lo = open_low ? bounds[0] : bounds[bucket - 1];
   double hi = open_high ? bounds[n - 1] : bounds[bucket];
-  switch (point) {
-    case RangePoint::kMin:
+  switch (expr.fn) {
+    case Fn::kRangeMin:
       return open_low ? Value::Null() : Value::Double(lo);
-    case RangePoint::kMax:
+    case Fn::kRangeMax:
       return open_high ? Value::Null() : Value::Double(hi);
-    case RangePoint::kMid:
+    default:  // kRangeMid
       if (open_low) return Value::Double(bounds[0]);
       if (open_high) return Value::Double(bounds[n - 1]);
       return Value::Double((lo + hi) / 2);
   }
-  return Internal() << "unreachable range point";
 }
 
-Result<Value> EvalCluster(const DmxExpr& expr,
-                          const PredictionRowContext& ctx, bool probability) {
-  if (!expr.args.empty()) {
-    return InvalidArgument() << expr.function << " takes no arguments";
+Result<Value> TopCount(const BoundDmxExpr& expr,
+                       const PredictionRowContext& ctx) {
+  DMX_ASSIGN_OR_RETURN(Value table, EvaluateDmxExpr(expr.args[0], ctx));
+  if (!table.is_table() || table.table_value() == nullptr) {
+    return InvalidArgument() << "TopCount: first argument is not a table";
   }
+  const NestedTable& nested = *table.table_value();
+  const size_t rank = expr.rank_column;
+  std::vector<Row> rows = nested.rows();
+  std::stable_sort(rows.begin(), rows.end(), [rank](const Row& a, const Row& b) {
+    return a[rank].Compare(b[rank]) > 0;
+  });
+  if (rows.size() > static_cast<size_t>(expr.count)) {
+    rows.resize(static_cast<size_t>(expr.count));
+  }
+  return Value::Table(NestedTable::Make(nested.schema(), std::move(rows)));
+}
+
+Result<Value> Cluster(const BoundDmxExpr& expr,
+                      const PredictionRowContext& ctx) {
+  const bool probability = expr.fn == Fn::kClusterProbability;
   const AttributePrediction* p = ctx.prediction->Find("$CLUSTER");
   if (p == nullptr) {
-    return InvalidState() << expr.function << " requires a segmentation model";
+    return InvalidState() << (probability ? "ClusterProbability" : "Cluster")
+                          << " requires a segmentation model";
   }
   return probability ? Value::Double(p->probability) : p->predicted;
 }
 
 }  // namespace
 
-void DmxExprBindings::Prepare(const DmxExpr& expr, const MiningModel& model,
-                              const Schema& source,
-                              const std::string& source_alias) {
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-    case DmxExpr::Kind::kDollar:
-      return;
-    case DmxExpr::Kind::kColumnPath: {
-      if (paths_.count(&expr) > 0) return;
-      Result<BoundPath> resolved =
-          ResolvePath(expr.path, model, source, source_alias);
-      // Leave unresolvable paths unbound: evaluation re-resolves and reports
-      // the same diagnostic, so prepare-time failures change nothing.
-      if (!resolved.ok()) return;
-      BoundPath bound = std::move(resolved).value();
-      if (bound.is_model) {
-        bound.histogram_schema = HistogramSchema(model, bound.model_column);
-      }
-      paths_.emplace(&expr, std::move(bound));
-      return;
-    }
-    case DmxExpr::Kind::kFunction:
+Result<BoundDmxExpr> BindDmxExpr(const DmxExpr& expr, const MiningModel& model,
+                                 const Schema& source,
+                                 const std::string& source_alias) {
+  return Bind(expr, BindScope{model, source, source_alias});
+}
+
+Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
+                              const PredictionRowContext& ctx) {
+  switch (expr.fn) {
+    case Fn::kLiteral:
+      return expr.literal;
+    case Fn::kSourceColumn:
+      return (*ctx.source_row)[expr.source_column];
+    case Fn::kTopCount:
+      return TopCount(expr, ctx);
+    case Fn::kCluster:
+    case Fn::kClusterProbability:
+      return Cluster(expr, ctx);
+    default:
       break;
   }
-  // TopCount's rank argument names a column *inside* the nested table value,
-  // not a model or source column — it must stay unbound.
-  const bool is_top_count = EqualsCi(expr.function, "TopCount");
-  for (size_t i = 0; i < expr.args.size(); ++i) {
-    if (is_top_count && i == 1) continue;
-    Prepare(expr.args[i], model, source, source_alias);
-  }
-}
-
-const DmxExprBindings::BoundPath* DmxExprBindings::Find(
-    const DmxExpr& expr) const {
-  auto it = paths_.find(&expr);
-  return it == paths_.end() ? nullptr : &it->second;
-}
-
-Result<Value> EvaluateDmxExpr(const DmxExpr& expr,
-                              const PredictionRowContext& ctx) {
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-      return expr.literal;
-    case DmxExpr::Kind::kDollar:
-      return BindError() << "$" << expr.dollar
-                         << " is only meaningful inside table functions";
-    case DmxExpr::Kind::kColumnPath: {
-      BoundPath scratch;
-      DMX_ASSIGN_OR_RETURN(const BoundPath* bound,
-                           BoundPathFor(expr, ctx, &scratch));
-      if (!bound->is_model) return (*ctx.source_row)[bound->source_column];
+  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
+                       TargetPrediction(expr, ctx));
+  switch (expr.fn) {
+    case Fn::kPredict:
+      if (expr.column.type == DataType::kTable) {
+        return HistogramTable(expr, *p, expr.count);
+      }
+      return p->predicted;
+    case Fn::kPredictHistogram:
+      return HistogramTable(expr, *p, /*limit=*/0);
+    case Fn::kRangeMin:
+    case Fn::kRangeMid:
+    case Fn::kRangeMax:
+      return Range(expr, *p);
+    case Fn::kPredictProbability:
+    case Fn::kPredictSupport:
+    case Fn::kPredictVariance:
+    case Fn::kPredictStdev:
+      return PredictStat(expr, *p);
+    default:
       // A bare model column reference means its prediction (the paper's
       // "SELECT ..., [Age Prediction].[Age] FROM ... PREDICTION JOIN ...").
-      DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                           TargetPrediction(bound->model_column, ctx));
       return p->predicted;
-    }
-    case DmxExpr::Kind::kFunction:
-      break;
   }
-  const std::string& f = expr.function;
-  if (EqualsCi(f, "Predict") || EqualsCi(f, "PredictAssociation")) {
-    return EvalPredict(expr, ctx);
-  }
-  if (EqualsCi(f, "PredictProbability")) {
-    return EvalPredictStat(expr, ctx, Stat::kProbability);
-  }
-  if (EqualsCi(f, "PredictSupport")) {
-    return EvalPredictStat(expr, ctx, Stat::kSupport);
-  }
-  if (EqualsCi(f, "PredictVariance")) {
-    return EvalPredictStat(expr, ctx, Stat::kVariance);
-  }
-  if (EqualsCi(f, "PredictStdev")) {
-    return EvalPredictStat(expr, ctx, Stat::kStdev);
-  }
-  if (EqualsCi(f, "PredictHistogram")) return EvalPredictHistogram(expr, ctx);
-  if (EqualsCi(f, "TopCount")) return EvalTopCount(expr, ctx);
-  if (EqualsCi(f, "RangeMin")) return EvalRange(expr, ctx, RangePoint::kMin);
-  if (EqualsCi(f, "RangeMid")) return EvalRange(expr, ctx, RangePoint::kMid);
-  if (EqualsCi(f, "RangeMax")) return EvalRange(expr, ctx, RangePoint::kMax);
-  if (EqualsCi(f, "Cluster")) return EvalCluster(expr, ctx, false);
-  if (EqualsCi(f, "ClusterProbability")) return EvalCluster(expr, ctx, true);
-  return NotSupported() << "unknown function '" << f << "'";
-}
-
-Result<ColumnDef> InferDmxItemColumn(const DmxExpr& expr,
-                                     const std::string& alias,
-                                     const MiningModel& model,
-                                     const Schema& source,
-                                     const std::string& source_alias) {
-  ColumnDef def;
-  def.name = !alias.empty()
-                 ? alias
-                 : (expr.kind == DmxExpr::Kind::kColumnPath
-                        ? expr.path.back()
-                        : expr.ToString());
-  switch (expr.kind) {
-    case DmxExpr::Kind::kLiteral:
-      def.type = expr.literal.is_long()     ? DataType::kLong
-                 : expr.literal.is_double() ? DataType::kDouble
-                 : expr.literal.is_bool()   ? DataType::kBool
-                                            : DataType::kText;
-      return def;
-    case DmxExpr::Kind::kDollar:
-      return BindError() << "$" << expr.dollar
-                         << " cannot be a projection item";
-    case DmxExpr::Kind::kColumnPath: {
-      DMX_ASSIGN_OR_RETURN(BoundPath resolved,
-                           ResolvePath(expr.path, model, source, source_alias));
-      if (!resolved.is_model) {
-        def.type = source.column(resolved.source_column).type;
-        def.nested = source.column(resolved.source_column).nested;
-        return def;
-      }
-      const ModelColumn* spec = model.definition().FindColumn(
-          resolved.model_column);
-      if (spec != nullptr && spec->is_table()) {
-        def.type = DataType::kTable;
-        def.nested = HistogramSchema(model, resolved.model_column);
-        return def;
-      }
-      def.type = ModelColumnType(model, resolved.model_column);
-      return def;
-    }
-    case DmxExpr::Kind::kFunction:
-      break;
-  }
-  const std::string& f = expr.function;
-  auto table_result = [&](const std::string& column) {
-    def.type = DataType::kTable;
-    def.nested = HistogramSchema(model, column);
-    return def;
-  };
-  if (EqualsCi(f, "PredictHistogram") ||
-      ((EqualsCi(f, "Predict") || EqualsCi(f, "PredictAssociation")) &&
-       !expr.args.empty())) {
-    DMX_ASSIGN_OR_RETURN(std::string column,
-                         [&]() -> Result<std::string> {
-                           if (expr.args[0].kind !=
-                               DmxExpr::Kind::kColumnPath) {
-                             return BindError() << f << ": bad argument";
-                           }
-                           DMX_ASSIGN_OR_RETURN(
-                               BoundPath resolved,
-                               ResolvePath(expr.args[0].path, model, source,
-                                           source_alias));
-                           if (!resolved.is_model) {
-                             return BindError()
-                                    << f << ": argument is not a model column";
-                           }
-                           return resolved.model_column;
-                         }());
-    const ModelColumn* spec = model.definition().FindColumn(column);
-    if (EqualsCi(f, "PredictHistogram") ||
-        (spec != nullptr && spec->is_table())) {
-      return table_result(column);
-    }
-    def.type = ModelColumnType(model, column);
-    return def;
-  }
-  if (EqualsCi(f, "TopCount")) {
-    if (expr.args.empty()) return BindError() << "TopCount needs arguments";
-    DMX_ASSIGN_OR_RETURN(ColumnDef inner,
-                         InferDmxItemColumn(expr.args[0], "", model, source,
-                                            source_alias));
-    def.type = inner.type;
-    def.nested = inner.nested;
-    return def;
-  }
-  if (EqualsCi(f, "Cluster")) {
-    def.type = DataType::kText;
-    return def;
-  }
-  if (EqualsCi(f, "PredictProbability") || EqualsCi(f, "PredictSupport") ||
-      EqualsCi(f, "PredictVariance") || EqualsCi(f, "PredictStdev") ||
-      EqualsCi(f, "ClusterProbability") || EqualsCi(f, "RangeMin") ||
-      EqualsCi(f, "RangeMid") || EqualsCi(f, "RangeMax")) {
-    def.type = DataType::kDouble;
-    return def;
-  }
-  return NotSupported() << "unknown function '" << f << "'";
 }
 
 }  // namespace dmx

@@ -7,21 +7,30 @@
 // Shipped UDFs:
 //   Predict(<col> [, n])           best estimate; on a TABLE column: nested
 //                                  table of the top-n recommended items
+//   PredictAssociation(<col> [, n])  alias of Predict
 //   PredictProbability(<col> [, value])
 //   PredictSupport(<col> [, value])
-//   PredictVariance(<col>) / PredictStdev(<col>)
+//   PredictVariance(<col> [, value]) / PredictStdev(<col> [, value])
 //   PredictHistogram(<col>)        nested table: value, $SUPPORT,
 //                                  $PROBABILITY, $VARIANCE, $STDEV
 //   TopCount(<table expr>, <rank column | $stat>, n)
 //   RangeMin/RangeMid/RangeMax(<col>)   DISCRETIZED bucket bounds
 //   Cluster() / ClusterProbability()    segmentation membership
+//
+// A prediction join evaluates in two steps. BindDmxExpr runs once per
+// statement: it resolves every column path against the model and the
+// source, dispatches every function name, validates arities and literal
+// arguments, and derives each node's output column. Whether a statement is
+// valid therefore never depends on how many cases it scores. EvaluateDmxExpr
+// then runs once per case over the bound tree and does no name lookups; the
+// only errors it can raise are those that need the case's prediction.
 
 #ifndef DMX_CORE_UDF_H_
 #define DMX_CORE_UDF_H_
 
-#include <memory>
+#include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rowset.h"
@@ -30,59 +39,62 @@
 
 namespace dmx {
 
-/// Per-statement binding cache for prediction-join expressions. Column-path
-/// resolution (model-vs-source disambiguation, case-insensitive name lookup)
-/// and histogram schema construction are per-statement work; without this
-/// cache they were redone for every joined case. Prepare() walks one
-/// expression tree and records every resolvable column path, keyed by AST
-/// node address — so a cache is only valid while the statement it was
-/// prepared from is alive and unmoved. Unresolvable paths are simply left
-/// unbound: evaluation falls back to live resolution and reports the same
-/// diagnostic it always did.
-class DmxExprBindings {
- public:
-  struct BoundPath {
-    bool is_model = false;
-    int source_column = -1;        ///< When !is_model.
-    std::string model_column;      ///< When is_model: scalar or TABLE name.
-    /// When is_model: the histogram/nested-table schema for this column,
-    /// shared by every table value the statement produces.
-    std::shared_ptr<const Schema> histogram_schema;
+/// One DMX expression node, bound to a model and a source schema.
+struct BoundDmxExpr {
+  enum class Fn : uint8_t {
+    kLiteral,        ///< `literal`
+    kSourceColumn,   ///< source_row[source_column]
+    kModelColumn,    ///< bare model column: its predicted value
+    kPredict,        ///< also PredictAssociation
+    kPredictProbability,
+    kPredictSupport,
+    kPredictVariance,
+    kPredictStdev,
+    kPredictHistogram,
+    kTopCount,
+    kRangeMin,
+    kRangeMid,
+    kRangeMax,
+    kCluster,
+    kClusterProbability,
   };
 
-  void Prepare(const DmxExpr& expr, const MiningModel& model,
-               const Schema& source, const std::string& source_alias);
-
-  /// The binding for `expr`, or nullptr when it was not prepared (or did not
-  /// resolve at prepare time).
-  const BoundPath* Find(const DmxExpr& expr) const;
-
- private:
-  std::unordered_map<const DmxExpr*, BoundPath> paths_;
+  Fn fn = Fn::kLiteral;
+  /// The node's output column. Named after the path's last part or the
+  /// expression text; for TABLE values `column.nested` is the schema every
+  /// value of this node carries (the histogram schema for model columns).
+  ColumnDef column;
+  Value literal;                ///< kLiteral
+  int source_column = -1;       ///< kSourceColumn
+  /// The model column a Predict*/Range* node reads, as the statement spells
+  /// it (prediction lookup is case-insensitive).
+  std::string model_column;
+  /// PredictProbability/Support/Variance/Stdev: the explicit value whose
+  /// histogram entry to report instead of the best estimate's.
+  std::optional<Value> explicit_value;
+  /// Predict on a TABLE column: top-n items; TopCount: rows kept.
+  int64_t count = 0;
+  size_t rank_column = 0;       ///< TopCount: index in the table's schema.
+  std::vector<double> bucket_bounds;  ///< Range*: the attribute's bounds.
+  std::vector<BoundDmxExpr> args;     ///< TopCount: the table expression.
 };
+
+/// Binds `expr` for a prediction join of `model` with a source of schema
+/// `source` aliased `source_alias`. Every diagnostic that does not depend on
+/// a case's prediction is reported here.
+Result<BoundDmxExpr> BindDmxExpr(const DmxExpr& expr, const MiningModel& model,
+                                 const Schema& source,
+                                 const std::string& source_alias);
 
 /// Evaluation context for one joined case.
 struct PredictionRowContext {
   const MiningModel* model = nullptr;
   const CasePrediction* prediction = nullptr;
   const Row* source_row = nullptr;
-  const Schema* source_schema = nullptr;
-  std::string source_alias;
-  /// Optional per-statement cache; evaluation works without one (tests,
-  /// ad-hoc calls) but then re-resolves paths on every call.
-  const DmxExprBindings* bindings = nullptr;
 };
 
-/// Static (schema-time) description of one projection item: its output
-/// column definition. Must stay consistent with EvaluateDmxExpr.
-Result<ColumnDef> InferDmxItemColumn(const DmxExpr& expr,
-                                     const std::string& alias,
-                                     const MiningModel& model,
-                                     const Schema& source,
-                                     const std::string& source_alias);
-
-/// Evaluates one projection expression for one joined case.
-Result<Value> EvaluateDmxExpr(const DmxExpr& expr,
+/// Evaluates one bound expression for one joined case.
+Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
                               const PredictionRowContext& ctx);
 
 }  // namespace dmx

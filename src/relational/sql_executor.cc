@@ -706,14 +706,16 @@ Result<Rowset> Execute(Database* db, const SqlStatement& statement) {
     Scope scope;
     scope.AddRange(stmt->table, *table->schema(), 0);
     DMX_RETURN_IF_ERROR(BindExpr(stmt->where.get(), scope));
-    std::vector<Row> kept;
+    // Mark every row before moving any, so a guard trip or a predicate
+    // error mid-scan leaves the table untouched.
+    std::vector<bool> keep;
+    keep.reserve(table->num_rows());
     for (const Row& row : table->rows()) {
       DMX_RETURN_IF_ERROR(GuardCheck());
       DMX_ASSIGN_OR_RETURN(bool matches, EvalPredicate(*stmt->where, row));
-      if (!matches) kept.push_back(row);
+      keep.push_back(!matches);
     }
-    table->Clear();
-    DMX_RETURN_IF_ERROR(table->InsertAll(std::move(kept)));
+    table->RetainRows(keep);
     return Rowset();
   }
   return Internal() << "unhandled SQL statement kind";

@@ -50,4 +50,14 @@ Status Table::InsertAll(std::vector<Row> rows) {
   return Status::OK();
 }
 
+void Table::RetainRows(const std::vector<bool>& keep) {
+  size_t kept = 0;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (!keep[i]) continue;
+    if (kept != i) rows_[kept] = std::move(rows_[i]);
+    ++kept;
+  }
+  rows_.resize(kept);
+}
+
 }  // namespace dmx::rel

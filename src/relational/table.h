@@ -43,6 +43,10 @@ class Table {
 
   void Clear() { rows_.clear(); }
 
+  /// Keeps the rows whose `keep` flag is set, in order, moving them down in
+  /// place. `keep` holds one flag per row.
+  void RetainRows(const std::vector<bool>& keep);
+
   /// Copies contents into an immutable rowset (cheap schema share).
   Rowset ToRowset() const { return Rowset(schema_, rows_); }
 

@@ -231,7 +231,153 @@ TEST_F(PredictionJoinTest, ErrorSurface) {
   // RangeMin on a non-discretized column.
   EXPECT_TRUE(Fails(std::string("SELECT RangeMin([Gender]) FROM [M]") +
                     kNaturalSource)
-                  .ok() == false);
+                  .IsInvalidArgument());
+}
+
+// One malformed UDF use per row: the statement's projection item, the model
+// it runs against, and the diagnostic it must fail with.
+struct UdfDiagnostic {
+  const char* model;
+  const char* expr;
+  StatusCode code;
+  const char* message;
+  /// The check needs a case's prediction (Cluster()'s $CLUSTER entry), so
+  /// it only fires when the source has rows.
+  bool per_case = false;
+};
+
+const UdfDiagnostic kUdfDiagnostics[] = {
+    {"M", "Predict([Age], 1, 2)", StatusCode::kInvalidArgument,
+     "Predict takes 1 or 2 arguments"},
+    {"M", "PredictAssociation([Age], 1, 2)", StatusCode::kInvalidArgument,
+     "takes 1 or 2 arguments"},
+    {"M", "PredictProbability([Age], 1, 2)", StatusCode::kInvalidArgument,
+     "PredictProbability takes 1 or 2 arguments"},
+    {"M", "PredictSupport()", StatusCode::kInvalidArgument,
+     "PredictSupport takes 1 or 2 arguments"},
+    {"M", "PredictVariance([Age], 1, 2)", StatusCode::kInvalidArgument,
+     "PredictVariance takes 1 or 2 arguments"},
+    {"M", "PredictStdev()", StatusCode::kInvalidArgument,
+     "PredictStdev takes 1 or 2 arguments"},
+    {"M", "PredictHistogram([Age], 1)", StatusCode::kInvalidArgument,
+     "PredictHistogram takes exactly 1 argument"},
+    {"M", "TopCount(PredictHistogram([Age]), $Probability)",
+     StatusCode::kInvalidArgument,
+     "TopCount takes (table expr, rank column, count)"},
+    {"M", "RangeMin([Age], 1)", StatusCode::kInvalidArgument,
+     "RangeMin takes exactly 1 argument"},
+    {"M", "RangeMid()", StatusCode::kInvalidArgument,
+     "RangeMid takes exactly 1 argument"},
+    {"M", "RangeMax([Age], [Age])", StatusCode::kInvalidArgument,
+     "RangeMax takes exactly 1 argument"},
+    {"M", "Cluster([Age])", StatusCode::kInvalidArgument,
+     "Cluster takes no arguments"},
+    {"M", "ClusterProbability(1)", StatusCode::kInvalidArgument,
+     "ClusterProbability takes no arguments"},
+    {"Rec", "Predict([Product Purchases], 2.5)", StatusCode::kInvalidArgument,
+     "n must be an integer"},
+    {"M", "PredictProbability([Age], t.[Gender])",
+     StatusCode::kInvalidArgument, "second argument must be a literal value"},
+    {"M", "Predict(t.[Gender])", StatusCode::kBindError,
+     "not a model column"},
+    {"M", "TopCount(Predict([Age]), $Probability, 2)",
+     StatusCode::kInvalidArgument, "TopCount: first argument is not a table"},
+    {"M", "TopCount(PredictHistogram([Age]), 2, 2)",
+     StatusCode::kInvalidArgument, "rank must be $Stat or a column name"},
+    {"M", "TopCount(PredictHistogram([Age]), [Nope], 2)",
+     StatusCode::kBindError, "unknown column 'Nope'"},
+    {"M", "TopCount(PredictHistogram([Age]), $Probability, 2.5)",
+     StatusCode::kInvalidArgument, "count must be an integer literal"},
+    {"M", "RangeMin([Gender])", StatusCode::kInvalidArgument,
+     "'Gender' is not DISCRETIZED"},
+    {"M", "RangeMin([Product Purchases])", StatusCode::kBindError,
+     "'Product Purchases' is not a scalar attribute"},
+    {"M", "Cluster()", StatusCode::kInvalidState,
+     "requires a segmentation model", /*per_case=*/true},
+    {"M", "Summon([Age])", StatusCode::kNotSupported,
+     "unknown function 'Summon'"},
+};
+
+class PredictionJoinDiagnosticsTest : public PredictionJoinTest {
+ protected:
+  void SetUp() override {
+    PredictionJoinTest::SetUp();
+    Must(R"(
+      CREATE MINING MODEL [Rec] (
+        [Customer ID] LONG KEY,
+        [Product Purchases] TABLE([Product Name] TEXT KEY) PREDICT
+      ) USING Association_Rules(MINIMUM_SUPPORT = 0.05,
+                                MINIMUM_PROBABILITY = 0.3))");
+    Must(R"(
+      INSERT INTO [Rec]
+      SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
+      APPEND ({SELECT [CustID], [Product Name] FROM Sales ORDER BY [CustID]}
+              RELATE [Customer ID] TO [CustID]) AS [Product Purchases])");
+  }
+
+  /// The prediction-join source, optionally filtered down to zero cases.
+  static std::string Source(bool empty) {
+    return std::string(R"(
+      NATURAL PREDICTION JOIN
+        (SHAPE {SELECT [Customer ID], [Gender] FROM Customers )") +
+           (empty ? "WHERE [Customer ID] < 0 " : "") +
+           R"(ORDER BY [Customer ID]}
+         APPEND ({SELECT [CustID], [Product Name], [Product Type] FROM Sales
+                  ORDER BY [CustID]}
+                 RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t)";
+  }
+
+  static std::string AsItem(const UdfDiagnostic& d, bool empty) {
+    return std::string("SELECT ") + d.expr + " FROM [" + d.model + "]" +
+           Source(empty);
+  }
+
+  static std::string AsFilter(const UdfDiagnostic& d, bool empty) {
+    return std::string("SELECT t.[Customer ID] FROM [") + d.model + "]" +
+           Source(empty) + " WHERE " + d.expr + " = 1";
+  }
+
+  void ExpectDiagnostic(const UdfDiagnostic& d, const std::string& command) {
+    auto result = conn_->Execute(command);
+    ASSERT_FALSE(result.ok()) << command;
+    EXPECT_EQ(result.status().code(), d.code)
+        << command << "\n-> " << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find(d.message), std::string::npos)
+        << command << "\n-> " << result.status().ToString();
+  }
+};
+
+TEST_F(PredictionJoinDiagnosticsTest, MalformedUdfsFailWithTheirDiagnostic) {
+  for (const UdfDiagnostic& d : kUdfDiagnostics) {
+    ExpectDiagnostic(d, AsItem(d, /*empty=*/false));
+  }
+}
+
+// Validity is a property of the statement, not of the data: a malformed
+// projection item or WHERE operand fails the same way over zero cases as
+// over many.
+TEST_F(PredictionJoinDiagnosticsTest, ValidityDoesNotDependOnTheData) {
+  ASSERT_EQ(Must(AsItem({"M", "Predict([Age])", StatusCode::kOk, ""},
+                        /*empty=*/true))
+                .num_rows(),
+            0u);
+  for (const UdfDiagnostic& d : kUdfDiagnostics) {
+    if (d.per_case) continue;
+    for (bool as_filter : {false, true}) {
+      const std::string on_rows =
+          as_filter ? AsFilter(d, false) : AsItem(d, false);
+      const std::string on_none =
+          as_filter ? AsFilter(d, true) : AsItem(d, true);
+      auto with_rows = conn_->Execute(on_rows);
+      auto without_rows = conn_->Execute(on_none);
+      ASSERT_FALSE(with_rows.ok()) << on_rows;
+      ASSERT_FALSE(without_rows.ok()) << on_none << "\n-> succeeded";
+      EXPECT_EQ(without_rows.status().ToString(),
+                with_rows.status().ToString())
+          << on_none;
+      ExpectDiagnostic(d, on_none);
+    }
+  }
 }
 
 TEST_F(PredictionJoinTest, PredictProbabilityWithExplicitValue) {

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "common/exec_guard.h"
 #include "relational/database.h"
 #include "relational/sql_executor.h"
 #include "relational/sql_parser.h"
@@ -220,6 +221,39 @@ TEST_F(SqlTest, DeleteWithAndWithoutWhere) {
   EXPECT_EQ(Must("SELECT * FROM Pets").num_rows(), 2u);
   Must("DELETE FROM Pets");
   EXPECT_EQ(Must("SELECT * FROM Pets").num_rows(), 0u);
+}
+
+// A filtered DELETE whose guard trips mid-scan changes nothing: every row's
+// predicate is evaluated before any row moves. The deadline is far shorter
+// than the scan (100k rows, each testing a long arithmetic chain), and the
+// statement is parsed before the guard starts its clock, so the trip lands
+// inside the scan.
+TEST(TableTest, FilteredDeleteStoppedMidScanLeavesTableUnchanged) {
+  Database db;
+  ASSERT_TRUE(ExecuteSql(&db, "CREATE TABLE T (Id LONG, Name TEXT)").ok());
+  Table* table = *db.GetTable("T");
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 100'000; ++i) {
+    rows.push_back({Value::Long(i), Value::Text("row " + std::to_string(i))});
+  }
+  ASSERT_TRUE(table->InsertAll(rows).ok());
+  auto stmt = ParseSql(
+      "DELETE FROM T WHERE Id * 2 + Id * 3 + Id * 5 + Id * 7 + Id * 11 + "
+      "Id * 13 + Id * 17 + Id * 19 + Id * 23 + Id * 29 > 100");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+
+  ExecLimits limits;
+  limits.deadline_ms = 2;
+  ExecGuard guard(limits);
+  ExecGuardScope scope(&guard);
+  auto result = Execute(&db, *stmt);
+  ASSERT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+  ASSERT_EQ(table->num_rows(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_TRUE(table->rows()[r][0].Equals(rows[r][0])) << "row " << r;
+    ASSERT_TRUE(table->rows()[r][1].Equals(rows[r][1])) << "row " << r;
+  }
 }
 
 TEST_F(SqlTest, DropTable) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Time-budgeted fuzzing driver for the three DMX fuzz targets (DESIGN.md §12):
+# Time-budgeted fuzzing run of the four DMX fuzz targets (DESIGN.md §12):
 #
 #   fuzz_dmx_statement    differential analyzer/executor oracle
 #   fuzz_store_recovery   fault-injected durability + recovery oracle
 #   fuzz_tokenizer_parser tokenizer/parser/analyzer robustness
+#   fuzz_wire_protocol    serving front end over raw client wire bytes
 #
 # Configures a -DDMX_FUZZ=ON build (ASan by default), builds the targets,
 # then runs each for the given time budget seeded from the committed corpus
