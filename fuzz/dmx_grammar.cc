@@ -225,14 +225,59 @@ std::string SqlSelect(Rng& rng) {
   return stmt;
 }
 
+// One SHAPE side: SELECT <list> FROM <table>, with an optional WHERE and an
+// optional ORDER BY on the relate column `key` or on any column, either way.
+std::string ShapeSelect(Rng& rng, const std::string& list,
+                        const std::string& table, const std::string& key) {
+  std::string select = "{SELECT " + list + " FROM " + table;
+  if (rng.Chance(30)) select += " WHERE " + Comparison(rng, 1);
+  if (rng.Chance(70)) {
+    select += " ORDER BY [" + (rng.Chance(70) ? key : ColumnName(rng)) + "]";
+    if (rng.Chance(30)) select += " DESC";
+  }
+  return select + "}";
+}
+
+// Half of the SHAPEs relate the catalog's real keys, so most of them
+// execute: People.Id to Pets.Owner (parents without pets, a NULL owner),
+// People to itself on City and Loyalty (duplicate parent keys, two RELATE
+// pairs) or Pets to itself on Owner (a NULL parent key). The rest draw
+// names at random.
 std::string ShapeSource(Rng& rng) {
-  std::string shape = "SHAPE {SELECT " + SelectList(rng) + " FROM " +
-                      TableName(rng) + "}";
+  if (rng.Chance(12)) {
+    return "SHAPE " + ShapeSelect(rng, "*", "Pets", "Owner") + " APPEND (" +
+           ShapeSelect(rng, "Owner, Pet", "Pets", "Owner") +
+           " RELATE [Owner] TO [Owner]) AS [N0]";
+  }
+  if (rng.Chance(45)) {
+    std::string shape =
+        "SHAPE " + ShapeSelect(rng, "*", "People",
+                               rng.Chance(50) ? "Id" : "City");
+    uint32_t appends = 1 + rng.Below(2);
+    for (uint32_t i = 0; i < appends; ++i) {
+      shape += " APPEND (";
+      if (rng.Chance(60)) {
+        shape += ShapeSelect(rng, "Owner, Pet", "Pets", "Owner") +
+                 " RELATE [Id] TO [Owner]";
+      } else {
+        shape += ShapeSelect(rng, "City, Loyalty, Age", "People", "City") +
+                 " RELATE [City] TO [City], [Loyalty] TO [Loyalty]";
+      }
+      shape += ") AS [N" + std::to_string(i) + "]";
+    }
+    return shape;
+  }
+  std::string shape =
+      "SHAPE " + ShapeSelect(rng, SelectList(rng), TableName(rng),
+                             ColumnName(rng));
   uint32_t appends = 1 + rng.Below(2);
   for (uint32_t i = 0; i < appends; ++i) {
-    shape += " APPEND ({SELECT " + SelectList(rng) + " FROM " +
-             TableName(rng) + "} RELATE [" + ColumnName(rng) + "] TO [" +
-             ColumnName(rng) + "]) AS [N" + std::to_string(i) + "]";
+    std::string parent_key = ColumnName(rng);
+    std::string child_key = ColumnName(rng);
+    shape += " APPEND (" +
+             ShapeSelect(rng, SelectList(rng), TableName(rng), child_key) +
+             " RELATE [" + parent_key + "] TO [" + child_key + "]) AS [N" +
+             std::to_string(i) + "]";
   }
   return shape;
 }
@@ -259,8 +304,11 @@ std::string PredictionJoin(Rng& rng) {
   stmt += " FROM [" + ModelName(rng) + "]";
   bool natural = rng.Chance(65);
   if (natural) stmt += " NATURAL";
-  stmt += " PREDICTION JOIN (SELECT " + SelectList(rng) + " FROM " +
-          TableName(rng) + ") AS t";
+  stmt += " PREDICTION JOIN (" +
+          (rng.Chance(80) ? "SELECT " + SelectList(rng) + " FROM " +
+                                TableName(rng)
+                          : ShapeSource(rng)) +
+          ") AS t";
   if (!natural) {
     stmt += " ON [" + ModelName(rng) + "].[" + ColumnName(rng) + "] = t.[" +
             ColumnName(rng) + "]";

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,13 +17,16 @@
 #include "common/env.h"
 #include "common/tokenizer.h"
 #include "core/dmx_analyzer.h"
+#include "core/dmx_parser.h"
 #include "core/mining_model.h"
 #include "core/provider.h"
 #include "relational/database.h"
+#include "relational/sql_executor.h"
 #include "relational/sql_parser.h"
 #include "server/server.h"
 #include "server/transport.h"
 #include "server/wire.h"
+#include "shape/shape_executor.h"
 
 namespace dmx::fuzz {
 
@@ -65,7 +69,8 @@ void PopulateFuzzCatalog(Provider* provider) {
       "(4, 22, 90, 'Bern', 0), (5, 60, 400, 'Rome', 1), "
       "(6, 35, 150, 'Bern', 0)",
       "CREATE TABLE Pets (Owner LONG, Pet TEXT)",
-      "INSERT INTO Pets VALUES (1, 'cat'), (2, 'dog'), (3, 'fish')",
+      "INSERT INTO Pets VALUES (3, 'fish'), (1, 'cat'), (2, 'dog'), "
+      "(NULL, 'owl'), (1, 'hamster')",
       "CREATE MINING MODEL [M] ([Id] LONG KEY, [Age] DOUBLE CONTINUOUS, "
       "[Income] DOUBLE CONTINUOUS, [Loyalty] LONG DISCRETE PREDICT) "
       "USING Clustering(CLUSTER_COUNT = 2, SEED = 7)",
@@ -132,6 +137,118 @@ bool IsAllowlistedDivergence(std::string_view rule) {
 }
 
 // ---------------------------------------------------------------------------
+// SHAPE oracle: the reader against a nested-loop relate.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Result<Rowset> ReferenceShape(const rel::Database& db,
+                              const shape::ShapeStatement& stmt) {
+  DMX_ASSIGN_OR_RETURN(Rowset master, rel::ExecuteSelect(db, stmt.master));
+  std::vector<ColumnDef> columns = master.schema()->columns();
+  std::vector<Rowset> children;
+  // Per APPEND: (parent column, child column) of each RELATE pair.
+  std::vector<std::vector<std::pair<size_t, size_t>>> relates;
+  for (const shape::AppendClause& append : stmt.appends) {
+    DMX_ASSIGN_OR_RETURN(Rowset child, rel::ExecuteSelect(db, append.child));
+    std::vector<std::pair<size_t, size_t>> pairs;
+    for (const shape::RelatePair& pair : append.relations) {
+      DMX_ASSIGN_OR_RETURN(size_t p,
+                           master.schema()->ResolveColumn(pair.parent_column));
+      DMX_ASSIGN_OR_RETURN(size_t c,
+                           child.schema()->ResolveColumn(pair.child_column));
+      pairs.emplace_back(p, c);
+    }
+    columns.emplace_back(append.name, child.schema());
+    children.push_back(std::move(child));
+    relates.push_back(std::move(pairs));
+  }
+  Rowset out(Schema::Make(std::move(columns)));
+  for (const Row& parent : master.rows()) {
+    Row row = parent;
+    for (size_t a = 0; a < children.size(); ++a) {
+      std::vector<Row> nested;
+      for (const Row& child : children[a].rows()) {
+        bool related = true;
+        for (auto [p, c] : relates[a]) {
+          if (!parent[p].Equals(child[c])) related = false;
+        }
+        if (related) nested.push_back(child);
+      }
+      row.push_back(Value::Table(
+          NestedTable::Make(children[a].schema(), std::move(nested))));
+    }
+    DMX_RETURN_IF_ERROR(out.Append(std::move(row)));
+  }
+  return out;
+}
+
+// Identity of two cells: same kind, Equals, NaN matching NaN, and nested
+// tables equal row for row under the same rule.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.is_double() && std::isnan(a.double_value())) {
+    return std::isnan(b.double_value());
+  }
+  if (!a.is_table() || a.table_value() == nullptr ||
+      b.table_value() == nullptr) {
+    return a.Equals(b);
+  }
+  const NestedTable& x = *a.table_value();
+  const NestedTable& y = *b.table_value();
+  if (!x.schema()->Equals(*y.schema()) || x.num_rows() != y.num_rows()) {
+    return false;
+  }
+  for (size_t r = 0; r < x.num_rows(); ++r) {
+    if (x.rows()[r].size() != y.rows()[r].size()) return false;
+    for (size_t c = 0; c < x.rows()[r].size(); ++c) {
+      if (!SameCell(x.rows()[r][c], y.rows()[r][c])) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+const shape::ShapeStatement* ShapeSourceOf(const DmxStatement& statement) {
+  const CasesetSource* source = nullptr;
+  if (const auto* insert = std::get_if<InsertIntoStatement>(&statement)) {
+    source = &insert->source;
+  } else if (const auto* join =
+                 std::get_if<PredictionJoinStatement>(&statement)) {
+    source = &join->source;
+  }
+  return source == nullptr ? nullptr
+                           : std::get_if<shape::ShapeStatement>(source);
+}
+
+CheckResult CheckShape(const rel::Database& db,
+                       const shape::ShapeStatement& stmt) {
+  auto shaped = shape::ExecuteShape(db, stmt);
+  if (!shaped.ok()) return CheckResult::Pass();
+  auto reference = ReferenceShape(db, stmt);
+  if (!reference.ok()) {
+    return CheckResult::Fail("the SHAPE reader accepted what the reference "
+                             "rejects: " + reference.status().ToString());
+  }
+  if (!shaped->schema()->Equals(*reference->schema()) ||
+      shaped->num_rows() != reference->num_rows()) {
+    return CheckResult::Fail("SHAPE schema or case count differs from the "
+                             "nested-loop reference");
+  }
+  for (size_t r = 0; r < shaped->num_rows(); ++r) {
+    for (size_t c = 0; c < shaped->num_columns(); ++c) {
+      if (!SameCell(shaped->at(r, c), reference->at(r, c))) {
+        return CheckResult::Fail(
+            "SHAPE case " + std::to_string(r) + " column " +
+            std::to_string(c) + " differs from the nested-loop reference");
+      }
+    }
+  }
+  return CheckResult::Pass();
+}
+
+// ---------------------------------------------------------------------------
 // Target 1: differential analyzer / executor oracle.
 // ---------------------------------------------------------------------------
 
@@ -142,6 +259,15 @@ CheckResult CheckDmxStatement(std::string_view text) {
 
   Provider provider;
   PopulateFuzzCatalog(&provider);
+
+  auto parsed = ParseDmx(statement);
+  if (parsed.ok() && parsed->statement.has_value()) {
+    if (const shape::ShapeStatement* shape =
+            ShapeSourceOf(*parsed->statement)) {
+      CheckResult shaped = CheckShape(*provider.database(), *shape);
+      if (!shaped.ok) return CheckResult::Fail(shaped.error + ": " + statement);
+    }
+  }
 
   DmxAnalyzer analyzer(AnalyzerContext{provider.models(), provider.services(),
                                        provider.database()});

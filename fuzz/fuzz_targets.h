@@ -15,6 +15,8 @@
 //    Connection::Execute crash or return kInternal (clean semantic failures
 //    like kNotFound are fine); statements the analyzer rejects must also be
 //    rejected by the executor, divergences allowlisted per rule id.
+//    Every SHAPE source the reader accepts must also equal the nested-loop
+//    reference relate (CheckShape).
 //  * CheckStoreRecovery — a statement sequence under an injected I/O fault,
 //    then reopen: the recovered catalog must equal the in-memory oracle
 //    state after exactly the successfully-executed statement prefix.
@@ -31,9 +33,16 @@
 #include <string>
 #include <string_view>
 
+#include "core/dmx_ast.h"
+#include "shape/shape_ast.h"
+
 namespace dmx {
 class Provider;
 }  // namespace dmx
+
+namespace dmx::rel {
+class Database;
+}  // namespace dmx::rel
 
 namespace dmx::fuzz {
 
@@ -65,6 +74,18 @@ bool IsAllowlistedDivergence(std::string_view rule);
 
 /// Differential analyzer/executor oracle over one statement text.
 CheckResult CheckDmxStatement(std::string_view text);
+
+/// The SHAPE source of an INSERT INTO or PREDICTION JOIN, or nullptr.
+const shape::ShapeStatement* ShapeSourceOf(const DmxStatement& statement);
+
+/// SHAPE oracle: when shape::ExecuteShape accepts `stmt`, its caseset must
+/// equal a nested-loop relate's cell for cell, with the same value kinds and
+/// NaN equal to NaN. The reference emits every master row, in the master
+/// SELECT's order, followed per APPEND by a nested table of the child
+/// SELECT's rows, in their order, whose relate columns all Value::Equals
+/// the parent's.
+CheckResult CheckShape(const rel::Database& db,
+                       const shape::ShapeStatement& stmt);
 
 /// Builds the fixed fuzzing catalog on a fresh provider: tables People /
 /// Pets, trained model [M], untrained model [U] — the world the grammar

@@ -25,7 +25,7 @@ Result<Value> Rowset::Get(size_t row, std::string_view column) const {
 
 namespace {
 
-void PrintTable(const Schema& schema, const std::vector<Row>& rows,
+void PrintTable(const Schema& schema, std::span<const Row> rows,
                 bool expand_nested, int indent, std::ostringstream* out) {
   std::string pad(indent, ' ');
   std::vector<size_t> widths;

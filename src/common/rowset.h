@@ -6,7 +6,9 @@
 #ifndef DMX_COMMON_ROWSET_H_
 #define DMX_COMMON_ROWSET_H_
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +55,21 @@ class Rowset {
   std::shared_ptr<const Schema> schema_;
   std::vector<Row> rows_;
 };
+
+/// The stable order of `n` items under `less`, a strict weak order over
+/// item indices: empty when items 0..n-1 already are in order, otherwise the
+/// permutation std::stable_sort gives. The O(n) check lets input that arrives
+/// ordered, the usual case for ORDER BY and SHAPE's RELATE, skip the sort.
+template <typename Less>
+std::vector<size_t> StableOrder(size_t n, const Less& less) {
+  size_t i = 1;
+  while (i < n && !less(i, i - 1)) ++i;
+  if (i >= n) return {};
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), less);
+  return order;
+}
 
 /// \brief Pull-based row stream: the case-at-a-time interface of paper §3.1.
 ///

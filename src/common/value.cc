@@ -102,12 +102,37 @@ Result<Value> Value::CoerceTo(DataType type) const {
   return Internal() << "unreachable coercion";
 }
 
+namespace {
+
+// Orders NaN after every other number and equal to itself, so numbers form
+// a strict weak order (Equals still finds NaN unequal to everything).
+int CompareDoubles(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) - std::isnan(b);
+  return (a > b) - (a < b);
+}
+
+// Exact: `d` splits into an integral part, which int64_t holds exactly when
+// |d| < 2^63, and a fraction, so `i` is never rounded to a double.
+int CompareLongDouble(int64_t i, double d) {
+  if (std::isnan(d) || d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  const double whole = std::trunc(d);
+  const auto w = static_cast<int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return (whole > d) - (whole < d);
+}
+
+}  // namespace
+
 bool Value::Equals(const Value& other) const {
   if (kind() != other.kind()) {
     // Numeric cross-kind equality (3 == 3.0) keeps dictionaries stable when a
-    // column mixes longs and doubles (e.g. CSV reload).
+    // column mixes longs and doubles (e.g. CSV reload). It is exact: a LONG
+    // above 2^53 equals no DOUBLE it merely rounds to.
     if (is_numeric() && other.is_numeric() && !is_bool() && !other.is_bool()) {
-      return AsDouble().ValueOr(0) == other.AsDouble().ValueOr(0);
+      const Value& l = is_long() ? *this : other;
+      const Value& d = is_long() ? other : *this;
+      return CompareLongDouble(l.long_value(), d.double_value()) == 0;
     }
     return false;
   }
@@ -163,13 +188,16 @@ int Value::Compare(const Value& other) const {
     case Kind::kBool:
       return static_cast<int>(bool_value()) - static_cast<int>(other.bool_value());
     case Kind::kLong:
-    case Kind::kDouble: {
-      double a = AsDouble().ValueOr(0);
-      double b = other.AsDouble().ValueOr(0);
-      if (a < b) return -1;
-      if (a > b) return 1;
-      return 0;
-    }
+      if (other.is_long()) {
+        return (long_value() > other.long_value()) -
+               (long_value() < other.long_value());
+      }
+      return CompareLongDouble(long_value(), other.double_value());
+    case Kind::kDouble:
+      if (other.is_long()) {
+        return -CompareLongDouble(other.long_value(), double_value());
+      }
+      return CompareDoubles(double_value(), other.double_value());
     case Kind::kText:
       return text_value().compare(other.text_value());
     case Kind::kTable: {
@@ -189,7 +217,9 @@ size_t Value::Hash() const {
     case Kind::kBool:
       return std::hash<bool>()(bool_value());
     case Kind::kLong:
-      // Hash longs as doubles so 3 and 3.0 collide, matching Equals.
+      // Hash longs as doubles so 3 and 3.0 collide, matching Equals. A LONG
+      // that equals a DOUBLE converts to it exactly; longs that round to
+      // the same double merely share a bucket.
       return std::hash<double>()(static_cast<double>(long_value()));
     case Kind::kDouble:
       return std::hash<double>()(double_value());

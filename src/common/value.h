@@ -86,10 +86,12 @@ class Value {
   /// Structural equality. Nested tables compare by contents.
   bool Equals(const Value& other) const;
 
-  /// Total order over scalar values used by ORDER BY and dictionaries:
-  /// NULL < bools < numbers < text; numbers compare across long/double.
-  /// Nested tables are ordered after text, by pointer, which is sufficient
-  /// because no caller sorts on TABLE columns.
+  /// Total order over scalar values used by ORDER BY, SHAPE's RELATE and
+  /// dictionaries: NULL < bools < numbers < text. Numbers compare exactly
+  /// across long/double (a LONG is never rounded to a double); NaN sorts
+  /// after every other number. Compare()==0 agrees with Equals() except that
+  /// NaN equals nothing. Nested tables are ordered after text, by pointer,
+  /// which is sufficient because no caller sorts on TABLE columns.
   int Compare(const Value& other) const;
 
   /// Hash consistent with Equals for scalar values (used by dictionaries and

@@ -1,5 +1,7 @@
 #include "core/prediction_join.h"
 
+#include <span>
+
 #include "common/exec_guard.h"
 #include "core/case_binder.h"
 #include "core/caseset_source.h"
@@ -37,8 +39,8 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
     const Value& cell = row[column];
     const bool has_rows = cell.is_table() && cell.table_value() != nullptr &&
                           cell.table_value()->num_rows() > 0;
-    for (const Row& nested :
-         has_rows ? cell.table_value()->rows() : null_rows) {
+    for (const Row& nested : has_rows ? cell.table_value()->rows()
+                                      : std::span<const Row>(null_rows)) {
       DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
       Row flat;
       flat.reserve(row.size() - 1 + nested_width);

@@ -377,7 +377,7 @@ Result<Value> TopCount(const BoundDmxExpr& expr,
   }
   const NestedTable& nested = *table.table_value();
   const size_t rank = expr.rank_column;
-  std::vector<Row> rows = nested.rows();
+  std::vector<Row> rows(nested.rows().begin(), nested.rows().end());
   std::stable_sort(rows.begin(), rows.end(), [rank](const Row& a, const Row& b) {
     return a[rank].Compare(b[rank]) > 0;
   });

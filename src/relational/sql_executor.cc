@@ -370,33 +370,12 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
   std::vector<Row> rows;
   const std::vector<Row>* working = &rows;
   bool owns_working = true;
-  // Selection vector over *working (set by a WHERE on a borrowed scan):
-  // passing rows are recorded by index, never copied — the projection reads
-  // straight from the table through it. Stages that must own contiguous
-  // rows (ORDER BY's sort, aggregation) materialize it first.
+  // Selection vector over *working (set by a WHERE on a borrowed scan, and
+  // by ORDER BY): passing rows are recorded by index, in output order, never
+  // copied — the projection reads straight from the table through it. Only
+  // aggregation, which groups contiguous rows, gathers it into owned rows.
   std::vector<size_t> selection;
   bool use_selection = false;
-  auto materialize = [&]() -> Status {
-    if (use_selection) {
-      std::vector<Row> owned;
-      owned.reserve(selection.size());
-      for (size_t i : selection) {
-        DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
-        owned.push_back((*working)[i]);
-      }
-      rows = std::move(owned);
-      selection.clear();
-      use_selection = false;
-    } else if (!owns_working) {
-      DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(working->size()));
-      rows = *working;
-    } else {
-      return Status::OK();
-    }
-    working = &rows;
-    owns_working = true;
-    return Status::OK();
-  };
   if (stmt.has_from()) {
     DMX_ASSIGN_OR_RETURN(const Table* base, db.GetTable(stmt.from.table));
     schemas.push_back(base->schema().get());
@@ -540,7 +519,16 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
     if (!item.star && item.expr->ContainsAggregate()) aggregating = true;
   }
   if (aggregating) {
-    DMX_RETURN_IF_ERROR(materialize());
+    if (use_selection) {
+      std::vector<Row> owned;
+      owned.reserve(selection.size());
+      for (size_t i : selection) {
+        DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(1));
+        owned.push_back((*working)[i]);
+      }
+      rows = std::move(owned);
+      working = &rows;
+    }
     return ExecuteAggregation(stmt, scope, schemas, offsets, *working);
   }
 
@@ -564,26 +552,39 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
     for (const OrderItem& item : order_by) {
       DMX_RETURN_IF_ERROR(BindExpr(item.expr.get(), scope));
     }
-    // Sorting mutates: materialize the borrowed scan / selection now.
-    DMX_RETURN_IF_ERROR(materialize());
-    Status sort_status;
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       for (const OrderItem& item : order_by) {
-                         auto va = EvalExpr(*item.expr, a);
-                         auto vb = EvalExpr(*item.expr, b);
-                         if (!va.ok() || !vb.ok()) {
-                           if (sort_status.ok()) {
-                             sort_status = va.ok() ? vb.status() : va.status();
-                           }
-                           return false;
-                         }
-                         int cmp = va->Compare(*vb);
-                         if (cmp != 0) return item.ascending ? cmp < 0 : cmp > 0;
-                       }
-                       return false;
-                     });
-    DMX_RETURN_IF_ERROR(sort_status);
+    // Each key is evaluated once per row into `keys` (row-major, `width`
+    // per row). The rows stay where they are: a stable order of their
+    // positions, skipped when they already are in order, becomes the
+    // selection the projection reads through.
+    const size_t n = use_selection ? selection.size() : working->size();
+    const size_t width = order_by.size();
+    DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(n));
+    std::vector<Value> keys;
+    keys.reserve(n * width);
+    // dmx-hot-begin(sql-order-keys)
+    for (size_t i = 0; i < n; ++i) {
+      DMX_RETURN_IF_ERROR(GuardCheck());
+      const Row& row = (*working)[use_selection ? selection[i] : i];
+      for (const OrderItem& item : order_by) {
+        DMX_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, row));
+        keys.push_back(std::move(v));
+      }
+    }
+    // dmx-hot-end(sql-order-keys)
+    std::vector<size_t> order = StableOrder(n, [&](size_t a, size_t b) {
+      for (size_t k = 0; k < width; ++k) {
+        int cmp = keys[a * width + k].Compare(keys[b * width + k]);
+        if (cmp != 0) return order_by[k].ascending ? cmp < 0 : cmp > 0;
+      }
+      return false;
+    });
+    if (!order.empty()) {
+      if (use_selection) {
+        for (size_t& i : order) i = selection[i];
+      }
+      selection = std::move(order);
+      use_selection = true;
+    }
   }
 
   size_t out_limit = use_selection ? selection.size() : working->size();

@@ -1,6 +1,6 @@
 #include "shape/shape_executor.h"
 
-#include <iterator>
+#include <algorithm>
 
 #include "common/exec_guard.h"
 #include "relational/sql_executor.h"
@@ -9,19 +9,28 @@ namespace dmx::shape {
 
 namespace {
 
-size_t HashKey(const Row& row, const std::vector<size_t>& columns) {
-  size_t h = 0;
-  for (size_t c : columns) h = h * 1315423911u + row[c].Hash();
-  return h;
+// Lexicographic Value::Compare of two rows' relate keys.
+int CompareKeys(const Row& a, const std::vector<size_t>& a_cols, const Row& b,
+                const std::vector<size_t>& b_cols) {
+  for (size_t i = 0; i < a_cols.size(); ++i) {
+    int cmp = a[a_cols[i]].Compare(b[b_cols[i]]);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
 }
 
-bool KeysEqual(const Row& parent, const std::vector<size_t>& parent_cols,
-               const Row& child, const std::vector<size_t>& child_cols) {
-  for (size_t i = 0; i < parent_cols.size(); ++i) {
-    if (!parent[parent_cols[i]].Equals(child[child_cols[i]])) return false;
+// Orders child rows against a parent (passed by pointer) in equal_range.
+struct RelateLess {
+  const std::vector<size_t>& child_cols;
+  const std::vector<size_t>& parent_cols;
+
+  bool operator()(const Row& child, const Row* parent) const {
+    return CompareKeys(child, child_cols, *parent, parent_cols) < 0;
   }
-  return true;
-}
+  bool operator()(const Row* parent, const Row& child) const {
+    return CompareKeys(*parent, parent_cols, child, child_cols) < 0;
+  }
+};
 
 }  // namespace
 
@@ -29,15 +38,15 @@ Result<std::unique_ptr<ShapedCaseReader>> ShapedCaseReader::Create(
     const rel::Database& db, const ShapeStatement& stmt) {
   auto reader = std::unique_ptr<ShapedCaseReader>(new ShapedCaseReader());
   DMX_ASSIGN_OR_RETURN(reader->master_, rel::ExecuteSelect(db, stmt.master));
-  // The master rowset and every child index are resident until the caseset
+  // The master rowset and every child rowset are resident until the caseset
   // is consumed — that is the SHAPE statement's working set.
   DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(reader->master_.num_rows()));
 
   std::vector<ColumnDef> out_columns = reader->master_.schema()->columns();
   for (const AppendClause& append : stmt.appends) {
-    ChildIndex index;
-    DMX_ASSIGN_OR_RETURN(index.rowset, rel::ExecuteSelect(db, append.child));
-    index.nested_schema = index.rowset.schema();
+    DMX_ASSIGN_OR_RETURN(Rowset rowset, rel::ExecuteSelect(db, append.child));
+    ChildRows child;
+    child.nested_schema = rowset.schema();
     std::vector<std::string> parent_names;
     std::vector<std::string> child_names;
     parent_names.reserve(append.relations.size());
@@ -47,21 +56,32 @@ Result<std::unique_ptr<ShapedCaseReader>> ShapedCaseReader::Create(
       child_names.push_back(pair.child_column);
     }
     DMX_ASSIGN_OR_RETURN(
-        index.parent_key_columns,
+        child.parent_key_columns,
         reader->master_.schema()->ResolveColumns(parent_names));
-    DMX_ASSIGN_OR_RETURN(index.child_key_columns,
-                         index.rowset.schema()->ResolveColumns(child_names));
-    DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(index.rowset.num_rows()));
-    index.by_key.reserve(index.rowset.num_rows());
-    // dmx-hot-begin(shape-index-build)
-    for (size_t r = 0; r < index.rowset.num_rows(); ++r) {
-      if ((r & 1023) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
-      index.by_key.emplace(
-          HashKey(index.rowset.rows()[r], index.child_key_columns), r);
+    DMX_ASSIGN_OR_RETURN(child.child_key_columns,
+                         rowset.schema()->ResolveColumns(child_names));
+    DMX_RETURN_IF_ERROR(GuardChargeWorkingSet(rowset.num_rows()));
+    // Order the child rows by relate key, keeping the child SELECT's order
+    // within a key. An ORDER BY on the key (the paper's form) leaves them in
+    // order already, and the check costs one pass.
+    std::vector<Row> rows = std::move(rowset.mutable_rows());
+    const std::vector<size_t>& key = child.child_key_columns;
+    std::vector<size_t> order =
+        StableOrder(rows.size(), [&](size_t a, size_t b) {
+          return CompareKeys(rows[a], key, rows[b], key) < 0;
+        });
+    if (!order.empty()) {
+      std::vector<Row> sorted;
+      sorted.reserve(rows.size());
+      for (size_t i : order) {
+        DMX_RETURN_IF_ERROR(GuardCheck());
+        sorted.push_back(std::move(rows[i]));
+      }
+      rows = std::move(sorted);
     }
-    // dmx-hot-end(shape-index-build)
-    out_columns.emplace_back(append.name, index.nested_schema);
-    reader->children_.push_back(std::move(index));
+    child.rows = std::make_shared<const std::vector<Row>>(std::move(rows));
+    out_columns.emplace_back(append.name, child.nested_schema);
+    reader->children_.push_back(std::move(child));
   }
   reader->schema_ = Schema::Make(std::move(out_columns));
   return reader;
@@ -77,24 +97,21 @@ Result<bool> ShapedCaseReader::Next(Row* row) {
   row->clear();
   row->reserve(parent.size() + children_.size());
   row->insert(row->end(), parent.begin(), parent.end());
-  for (const ChildIndex& child : children_) {
-    size_t h = HashKey(parent, child.parent_key_columns);
-    auto [begin, end] = child.by_key.equal_range(h);
-    // Ownership of the nested rows transfers to the NestedTable cell, so
-    // the buffer cannot be reused across parents.
-    std::vector<Row> nested_rows;  // dmx-lint: allow(hot-loop-alloc)
-    nested_rows.reserve(
-        static_cast<size_t>(std::distance(begin, end)));
-    for (auto it = begin; it != end; ++it) {
-      const Row& candidate = child.rowset.rows()[it->second];
-      if (KeysEqual(parent, child.parent_key_columns, candidate,
-                    child.child_key_columns)) {
-        nested_rows.push_back(candidate);
-      }
+  for (const ChildRows& child : children_) {
+    const std::vector<Row>& rows = *child.rows;
+    auto [begin, end] = std::equal_range(
+        rows.begin(), rows.end(), &parent,
+        RelateLess{child.child_key_columns, child.parent_key_columns});
+    // The run holds the children whose key compares equal to the parent's.
+    // Relating is Value::Equals, which agrees with that except that NaN
+    // equals nothing: a NaN parent key relates to no child.
+    for (size_t c : child.parent_key_columns) {
+      if (!parent[c].Equals(parent[c])) end = begin;
     }
-    row->push_back(
-        Value::Table(NestedTable::Make(child.nested_schema,
-                                       std::move(nested_rows))));
+    row->push_back(Value::Table(std::make_shared<const NestedTable>(
+        child.nested_schema, child.rows,
+        static_cast<size_t>(begin - rows.begin()),
+        static_cast<size_t>(end - rows.begin()))));
   }
   // dmx-hot-end(shape-case-assembly)
   return true;

@@ -3,14 +3,14 @@
 //
 // The streaming reader is the paper's §3.1 consumption model: "data mining
 // algorithms are designed so that they consume an entity instance at a time".
-// Only one case is resident in the mining layer at any moment; the child rows
-// are indexed (not copied) until a case is emitted.
+// Only one case is resident in the mining layer at any moment. Each child
+// rowset is ordered on its relate key once; a case's nested table is a view
+// of its parent's run of child rows, found by binary search, never a copy.
 
 #ifndef DMX_SHAPE_SHAPE_EXECUTOR_H_
 #define DMX_SHAPE_SHAPE_EXECUTOR_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rowset.h"
@@ -26,11 +26,13 @@ Result<Rowset> ExecuteShape(const rel::Database& db, const ShapeStatement& stmt)
 
 /// \brief Case-at-a-time reader over a SHAPE statement.
 ///
-/// Child rowsets are executed once and indexed by relate key; each Next()
-/// materializes exactly one hierarchical case.
+/// Child rowsets are executed once and ordered by relate key; each Next()
+/// emits exactly one hierarchical case whose nested tables borrow the
+/// parent's run of child rows.
 class ShapedCaseReader : public RowsetReader {
  public:
-  /// Runs the embedded queries and builds the key indexes.
+  /// Runs the embedded queries and orders each child rowset by relate key
+  /// (skipped when it already is, as under the paper's ORDER BY).
   static Result<std::unique_ptr<ShapedCaseReader>> Create(
       const rel::Database& db, const ShapeStatement& stmt);
 
@@ -41,20 +43,20 @@ class ShapedCaseReader : public RowsetReader {
   Result<bool> Next(Row* row) override;
 
  private:
-  struct ChildIndex {
-    Rowset rowset;
+  struct ChildRows {
+    // Ordered by child_key_columns (stable, so the child SELECT's order
+    // holds within a key). Shared with every nested table emitted.
+    std::shared_ptr<const std::vector<Row>> rows;
     std::shared_ptr<const Schema> nested_schema;
     std::vector<size_t> child_key_columns;
     std::vector<size_t> parent_key_columns;
-    // Key hash -> indices of child rows with that key (verified on probe).
-    std::unordered_multimap<size_t, size_t> by_key;
   };
 
   ShapedCaseReader() = default;
 
   std::shared_ptr<const Schema> schema_;
   Rowset master_;
-  std::vector<ChildIndex> children_;
+  std::vector<ChildRows> children_;
   size_t pos_ = 0;
 };
 

@@ -13,7 +13,10 @@
 
 #include "common/env.h"
 #include "core/dmx_analyzer.h"
+#include "core/dmx_parser.h"
+#include "core/provider.h"
 #include "fuzz/fuzz_targets.h"
+#include "shape/shape_executor.h"
 
 #ifndef DMX_SOURCE_DIR
 #error "tests/CMakeLists.txt must define DMX_SOURCE_DIR"
@@ -57,6 +60,27 @@ void ReplayAll(const std::string& kind, const std::string& target,
 
 TEST(FuzzRegressionTest, DmxStatementSeedCorpus) {
   ReplayAll("corpus", "dmx_statement", fuzz::CheckDmxStatement);
+}
+
+// The valid-shape-* seeds reach the SHAPE oracle: the reader accepts each
+// one over the fuzz catalog, so CheckShape compares real casesets.
+TEST(FuzzRegressionTest, ShapeSeedsExecute) {
+  size_t seeds = 0;
+  for (const auto& [name, data] : LoadInputs("corpus", "dmx_statement")) {
+    if (name.rfind("valid-shape-", 0) != 0) continue;
+    ++seeds;
+    Provider provider;
+    fuzz::PopulateFuzzCatalog(&provider);
+    auto parsed = ParseDmx(data);
+    ASSERT_TRUE(parsed.ok() && parsed->statement.has_value()) << name;
+    const shape::ShapeStatement* shape =
+        fuzz::ShapeSourceOf(*parsed->statement);
+    ASSERT_NE(shape, nullptr) << name;
+    auto caseset = shape::ExecuteShape(*provider.database(), *shape);
+    ASSERT_TRUE(caseset.ok()) << name << ": " << caseset.status().ToString();
+    EXPECT_GT(caseset->num_rows(), 0u) << name;
+  }
+  EXPECT_GE(seeds, 4u);
 }
 
 TEST(FuzzRegressionTest, DmxStatementFixedFindings) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "datagen/warehouse.h"
+#include "fuzz/fuzz_targets.h"
 #include "relational/sql_executor.h"
 #include "shape/shape_executor.h"
 #include "shape/shape_parser.h"
@@ -131,6 +137,111 @@ TEST_F(ShapeTest, StreamingReaderMatchesMaterializedExecution) {
     ++i;
   }
   EXPECT_EQ(i, materialized->num_rows());
+}
+
+// Differential oracle: ShapedCaseReader against the nested-loop reference
+// relate (fuzz::CheckShape) over inputs in every order. Parent keys
+// repeat, some are NULL, some have no children; child keys include NULLs
+// and keys no parent has. Rows are inserted in a seeded random order.
+TEST(ShapeOracle, MatchesTheNestedLoopReference) {
+  rel::Database db;
+  ASSERT_TRUE(
+      rel::ExecuteSql(&db, "CREATE TABLE Parents (Id LONG, Grp TEXT, Sub LONG)")
+          .ok());
+  ASSERT_TRUE(rel::ExecuteSql(&db, "CREATE TABLE Children (PId LONG, Grp "
+                                   "TEXT, Sub LONG, Seq LONG)")
+                  .ok());
+  std::mt19937 rng(11);
+  auto maybe_null = [&](Value v) {
+    if (rng() % 9 == 0) v = Value::Null();
+    return v;
+  };
+  auto group = [&] {
+    return Value::Text(std::string(1, static_cast<char>('a' + rng() % 4)));
+  };
+  std::vector<Row> parents;
+  for (int i = 0; i < 60; ++i) {
+    parents.push_back({maybe_null(Value::Long(rng() % 30)), maybe_null(group()),
+                       Value::Long(rng() % 3)});
+  }
+  std::vector<Row> children;
+  for (int64_t seq = 0; seq < 250; ++seq) {
+    children.push_back({maybe_null(Value::Long(rng() % 40)),
+                        maybe_null(group()), Value::Long(rng() % 3),
+                        Value::Long(seq)});
+  }
+  ASSERT_TRUE((*db.GetTable("Parents"))->InsertAll(parents).ok());
+  ASSERT_TRUE((*db.GetTable("Children"))->InsertAll(children).ok());
+
+  const char* kStatements[] = {
+      // Unordered on both sides.
+      "SHAPE {SELECT * FROM Parents} APPEND ({SELECT * FROM Children}"
+      " RELATE Id TO PId) AS C",
+      // The paper's form: both sides ordered on the key.
+      "SHAPE {SELECT * FROM Parents ORDER BY Id} APPEND ({SELECT PId, Seq"
+      " FROM Children ORDER BY PId} RELATE Id TO PId) AS C",
+      // Descending on both sides.
+      "SHAPE {SELECT * FROM Parents ORDER BY Id DESC} APPEND ({SELECT * FROM"
+      " Children ORDER BY PId DESC} RELATE Id TO PId) AS C",
+      // Children ordered on another column; filters on both sides.
+      "SHAPE {SELECT * FROM Parents WHERE Sub <> 1} APPEND ({SELECT * FROM"
+      " Children WHERE Seq > 40 ORDER BY Seq DESC} RELATE Id TO PId) AS C",
+      // Two RELATE pairs, and a second APPEND on another key.
+      "SHAPE {SELECT * FROM Parents ORDER BY Grp} APPEND ({SELECT * FROM"
+      " Children ORDER BY Sub} RELATE Grp TO Grp, Sub TO Sub) AS ByGroup"
+      " APPEND ({SELECT Seq, PId FROM Children} RELATE Id TO PId) AS ById",
+  };
+  for (const char* text : kStatements) {
+    auto stmt = ParseShape(text);
+    ASSERT_TRUE(stmt.ok()) << text << "\n" << stmt.status().ToString();
+    auto caseset = ExecuteShape(db, *stmt);
+    ASSERT_TRUE(caseset.ok()) << text << "\n" << caseset.status().ToString();
+    ASSERT_GT(caseset->num_rows(), 0u) << text;
+    fuzz::CheckResult check = fuzz::CheckShape(db, *stmt);
+    EXPECT_TRUE(check.ok) << text << "\n" << check.error;
+  }
+}
+
+// Relating is Value::Equals, under which NaN equals nothing, not even NaN:
+// a NaN parent key relates to no child although NaN orders equal to NaN.
+TEST(ShapeOracle, NaNKeyRelatesToNothing) {
+  rel::Database db;
+  ASSERT_TRUE(rel::ExecuteSql(&db, "CREATE TABLE P (K DOUBLE)").ok());
+  ASSERT_TRUE(rel::ExecuteSql(&db, "CREATE TABLE C (K DOUBLE, Tag TEXT)").ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE((*db.GetTable("P"))
+                  ->InsertAll({{Value::Double(nan)}, {Value::Double(1)}})
+                  .ok());
+  ASSERT_TRUE((*db.GetTable("C"))
+                  ->InsertAll({{Value::Double(nan), Value::Text("nan")},
+                               {Value::Double(1), Value::Text("one")}})
+                  .ok());
+  auto stmt = ParseShape(
+      "SHAPE {SELECT K FROM P} APPEND ({SELECT K, Tag FROM C ORDER BY K}"
+      " RELATE K TO K) AS N");
+  ASSERT_TRUE(stmt.ok());
+  auto caseset = ExecuteShape(db, *stmt);
+  ASSERT_TRUE(caseset.ok()) << caseset.status().ToString();
+  ASSERT_EQ(caseset->num_rows(), 2u);
+  EXPECT_EQ(caseset->at(0, 1).table_value()->num_rows(), 0u);
+  ASSERT_EQ(caseset->at(1, 1).table_value()->num_rows(), 1u);
+  EXPECT_EQ(caseset->at(1, 1).table_value()->rows()[0][1].text_value(), "one");
+  fuzz::CheckResult check = fuzz::CheckShape(db, *stmt);
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
+// Nested tables borrow the child rowset: the cases of consecutive parent
+// keys view adjacent runs of one row vector instead of owning copies.
+TEST_F(ShapeTest, NestedTablesViewOneChildRowset) {
+  auto stmt = ParseShape(kPaperShape);
+  ASSERT_TRUE(stmt.ok());
+  auto caseset = ExecuteShape(db_, *stmt);
+  ASSERT_TRUE(caseset.ok()) << caseset.status().ToString();
+  ASSERT_GE(caseset->num_rows(), 2u);
+  const NestedTable& first = *caseset->at(0, 3).table_value();
+  const NestedTable& second = *caseset->at(1, 3).table_value();
+  ASSERT_GT(first.num_rows(), 0u);
+  EXPECT_EQ(first.rows().data() + first.num_rows(), second.rows().data());
 }
 
 // Property suite over warehouse sizes: shaping conserves child rows and only

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -144,6 +145,94 @@ TEST_F(SqlTest, TopAppliesAfterOrdering) {
   ASSERT_EQ(r.num_rows(), 2u);
   EXPECT_EQ(r.at(0, 0).text_value(), "Cid");
   EXPECT_EQ(r.at(1, 0).text_value(), "Ann");
+}
+
+// Differential oracle for ORDER BY. Table S holds rows in Id order and
+// table Shuffled the same rows in a seeded random order. Over either table a
+// statement must return a std::stable_sort of the table's unsorted rows (so
+// ties keep insertion order), and the two tables' results must agree row for
+// row on the sort keys, and on whole rows when Id is the last key.
+TEST(SqlOrderByOracle, MatchesAStableSortOverOrderedAndShuffledCopies) {
+  Database db;
+  std::mt19937 rng(7);
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 300; ++id) {
+    Value k = rng() % 10 == 0 ? Value::Null()
+                              : Value::Long(static_cast<int64_t>(rng() % 7));
+    Value x = rng() % 8 == 0 ? Value::Null()
+                             : Value::Double((rng() % 50) / 4.0 - 3);
+    Value name = Value::Text(std::string(1, static_cast<char>('a' + rng() % 5)));
+    rows.push_back({Value::Long(id), k, x, name});
+  }
+  std::vector<Row> shuffled = rows;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const char* table : {"S", "Shuffled"}) {
+    ASSERT_TRUE(ExecuteSql(&db, std::string("CREATE TABLE ") + table +
+                                    " (Id LONG, K LONG, X DOUBLE, Name TEXT)")
+                    .ok());
+  }
+  ASSERT_TRUE((*db.GetTable("S"))->InsertAll(rows).ok());
+  ASSERT_TRUE((*db.GetTable("Shuffled"))->InsertAll(shuffled).ok());
+
+  struct Case {
+    const char* where;
+    const char* order_by;
+    std::vector<std::pair<size_t, bool>> keys;  // (column, ascending)
+  };
+  const std::vector<Case> cases = {
+      {"", "K", {{1, true}}},
+      {"", "K DESC", {{1, false}}},
+      {"", "K, Name DESC", {{1, true}, {3, false}}},
+      {"", "Name DESC, X", {{3, false}, {2, true}}},
+      {"", "X DESC, K", {{2, false}, {1, true}}},
+      {"", "Id", {{0, true}}},
+      {"", "Id DESC", {{0, false}}},
+      {"K > 2", "X, Id", {{2, true}, {0, true}}},
+      {"Name <> 'c'", "K DESC, Name, Id DESC",
+       {{1, false}, {3, true}, {0, false}}},
+  };
+  auto same_cells = [](const Row& a, const Row& b,
+                       const std::vector<size_t>& columns) {
+    for (size_t c : columns) {
+      if (!a[c].Equals(b[c])) return false;
+    }
+    return true;
+  };
+  for (const Case& c : cases) {
+    std::vector<Rowset> results;
+    for (const std::string table : {"S", "Shuffled"}) {
+      std::string from = "SELECT * FROM " + table +
+                         (*c.where ? std::string(" WHERE ") + c.where : "");
+      auto sorted = ExecuteSql(&db, from + " ORDER BY " + c.order_by);
+      auto unsorted = ExecuteSql(&db, from);
+      ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+      ASSERT_TRUE(unsorted.ok()) << unsorted.status().ToString();
+      std::vector<Row> expected = unsorted->rows();
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](const Row& a, const Row& b) {
+                         for (auto [col, ascending] : c.keys) {
+                           int cmp = a[col].Compare(b[col]);
+                           if (cmp != 0) return ascending ? cmp < 0 : cmp > 0;
+                         }
+                         return false;
+                       });
+      ASSERT_EQ(sorted->num_rows(), expected.size()) << c.order_by;
+      for (size_t r = 0; r < expected.size(); ++r) {
+        ASSERT_TRUE(same_cells(sorted->rows()[r], expected[r], {0, 1, 2, 3}))
+            << table << " ORDER BY " << c.order_by << ", row " << r;
+      }
+      results.push_back(std::move(sorted).value());
+    }
+    std::vector<size_t> compared;
+    for (auto [col, ascending] : c.keys) compared.push_back(col);
+    if (compared.back() == 0) compared = {0, 1, 2, 3};
+    for (size_t r = 0; r < results[0].num_rows(); ++r) {
+      ASSERT_TRUE(same_cells(results[0].rows()[r], results[1].rows()[r],
+                             compared))
+          << "S and Shuffled differ under ORDER BY " << c.order_by
+          << ", row " << r;
+    }
+  }
 }
 
 TEST_F(SqlTest, InnerJoinMatchesAndDropsDangling) {

@@ -1,8 +1,8 @@
-// Consistency property between schema-time inference (InferDmxItemColumn)
-// and run-time evaluation (EvaluateDmxExpr): for a sweep of projection
-// expressions, the declared output column type must match the kind of every
-// evaluated value (NULLs excepted), and nested-table outputs must carry the
-// declared nested schema.
+// Consistency property between the output column BindDmxExpr derives for
+// each bound node and run-time evaluation (EvaluateDmxExpr): for a sweep of
+// projection expressions, the declared output column type must match the
+// kind of every evaluated value (NULLs excepted), and nested-table outputs
+// must carry the declared nested schema.
 
 #include <gtest/gtest.h>
 

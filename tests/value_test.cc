@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/nested_table.h"
 #include "common/rowset.h"
+#include "relational/sql_executor.h"
+#include "shape/shape_executor.h"
+#include "shape/shape_parser.h"
 
 namespace dmx {
 namespace {
@@ -60,6 +68,124 @@ TEST(ValueTest, TotalOrder) {
   EXPECT_EQ(Value::Long(2).Compare(Value::Double(2.0)), 0);
   EXPECT_GT(Value::Text("b").Compare(Value::Text("a")), 0);
   EXPECT_EQ(Value::Null().Compare(Value::Null()), 0);
+}
+
+// 2^53 + 1 is the first LONG a double cannot hold: it rounds to 2^53.
+constexpr int64_t kTwoPow53 = int64_t{1} << 53;
+
+TEST(ValueTest, LongsCompareExactlyAboveTwoPow53) {
+  Value odd = Value::Long(kTwoPow53 + 1);
+  Value even = Value::Long(kTwoPow53);
+  EXPECT_GT(odd.Compare(even), 0);
+  EXPECT_LT(even.Compare(odd), 0);
+  EXPECT_FALSE(odd.Equals(even));
+  // Both round to the same double; only 2^53 itself equals it.
+  Value rounded = Value::Double(static_cast<double>(kTwoPow53));
+  EXPECT_TRUE(even.Equals(rounded));
+  EXPECT_EQ(even.Compare(rounded), 0);
+  EXPECT_EQ(even.Hash(), rounded.Hash());
+  EXPECT_FALSE(odd.Equals(rounded));
+  EXPECT_FALSE(rounded.Equals(odd));
+  EXPECT_GT(odd.Compare(rounded), 0);
+  EXPECT_LT(rounded.Compare(odd), 0);
+  // Fractions and the ends of the int64 range.
+  EXPECT_LT(Value::Long(-3).Compare(Value::Double(-2.5)), 0);
+  EXPECT_GT(Value::Long(-2).Compare(Value::Double(-2.5)), 0);
+  EXPECT_LT(Value::Long(INT64_MAX).Compare(Value::Double(0x1p63)), 0);
+  EXPECT_EQ(Value::Long(INT64_MIN).Compare(Value::Double(-0x1p63)), 0);
+  EXPECT_GT(Value::Long(INT64_MIN).Compare(Value::Double(-0x1p64)), 0);
+}
+
+TEST(ValueTest, CompareIsAStrictWeakOrderConsistentWithEquals) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Null(),          Value::Null(),
+      Value::Bool(false),     Value::Bool(true),
+      Value::Long(INT64_MIN), Value::Double(-inf),
+      Value::Double(-0x1p63), Value::Long(-3),
+      Value::Double(-2.5),    Value::Double(-0.0),
+      Value::Long(0),         Value::Double(0.0),
+      Value::Long(2),         Value::Double(2.0),
+      Value::Double(2.5),     Value::Long(kTwoPow53),
+      Value::Double(0x1p53),  Value::Long(kTwoPow53 + 1),
+      Value::Long(INT64_MAX), Value::Double(0x1p63),
+      Value::Double(inf),     Value::Double(nan),
+      Value::Double(-nan),    Value::Text(""),
+      Value::Text("a"),       Value::Text("b")};
+  auto sign = [](int cmp) { return (cmp > 0) - (cmp < 0); };
+  auto is_nan = [](const Value& v) {
+    return v.is_double() && std::isnan(v.double_value());
+  };
+  for (const Value& a : values) {
+    EXPECT_EQ(a.Compare(a), 0) << a.ToString();  // irreflexive
+    for (const Value& b : values) {
+      const int ab = a.Compare(b);
+      EXPECT_EQ(sign(ab), -sign(b.Compare(a)))
+          << a.ToString() << " vs " << b.ToString();
+      // Compare()==0 is Equals() except for NaN; Hash follows Equals.
+      if (!is_nan(a) && !is_nan(b)) {
+        EXPECT_EQ(ab == 0, a.Equals(b))
+            << a.ToString() << " vs " << b.ToString();
+      } else {
+        EXPECT_FALSE(a.Equals(b));
+      }
+      if (a.Equals(b)) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString();
+      }
+      for (const Value& c : values) {
+        const int bc = b.Compare(c);
+        const int ac = a.Compare(c);
+        if (ab < 0 && bc < 0) {
+          EXPECT_LT(ac, 0) << a.ToString() << " < " << b.ToString() << " < "
+                           << c.ToString();
+        }
+        if (ab == 0 && bc == 0) {  // equivalence is transitive
+          EXPECT_EQ(ac, 0) << a.ToString() << " ~ " << b.ToString() << " ~ "
+                           << c.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueTest, OrderByKeepsLongsAboveTwoPow53Apart) {
+  rel::Database db;
+  ASSERT_TRUE(rel::ExecuteSql(&db, "CREATE TABLE T (Id LONG)").ok());
+  ASSERT_TRUE(rel::ExecuteSql(&db, "INSERT INTO T VALUES (9007199254740993),"
+                                   " (9007199254740992)")
+                  .ok());
+  auto sorted = rel::ExecuteSql(&db, "SELECT Id FROM T ORDER BY Id");
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  ASSERT_EQ(sorted->num_rows(), 2u);
+  EXPECT_EQ(sorted->at(0, 0).long_value(), kTwoPow53);
+  EXPECT_EQ(sorted->at(1, 0).long_value(), kTwoPow53 + 1);
+}
+
+TEST(ValueTest, ShapeRelatesAdjacentIdsAboveTwoPow53Apart) {
+  rel::Database db;
+  for (const char* sql :
+       {"CREATE TABLE P (Id LONG)",
+        "INSERT INTO P VALUES (9007199254740993), (9007199254740992)",
+        "CREATE TABLE C (PId LONG, Tag TEXT)",
+        "INSERT INTO C VALUES (9007199254740992, 'even'),"
+        " (9007199254740993, 'odd'), (9007199254740992, 'even2')"}) {
+    ASSERT_TRUE(rel::ExecuteSql(&db, sql).ok()) << sql;
+  }
+  auto stmt = shape::ParseShape(
+      "SHAPE {SELECT Id FROM P} APPEND ({SELECT PId, Tag FROM C ORDER BY PId}"
+      " RELATE Id TO PId) AS K");
+  ASSERT_TRUE(stmt.ok());
+  auto caseset = shape::ExecuteShape(db, *stmt);
+  ASSERT_TRUE(caseset.ok()) << caseset.status().ToString();
+  ASSERT_EQ(caseset->num_rows(), 2u);
+  const NestedTable& odd = *caseset->at(0, 1).table_value();
+  const NestedTable& even = *caseset->at(1, 1).table_value();
+  ASSERT_EQ(odd.num_rows(), 1u);
+  EXPECT_EQ(odd.rows()[0][1].text_value(), "odd");
+  ASSERT_EQ(even.num_rows(), 2u);
+  EXPECT_EQ(even.rows()[0][1].text_value(), "even");
+  EXPECT_EQ(even.rows()[1][1].text_value(), "even2");
 }
 
 TEST(ValueTest, ToStringForms) {
