@@ -209,6 +209,26 @@ std::string SelectList(Rng& rng) {
   return list;
 }
 
+// A WHERE on People's in-order key [Id] (ids 1 to 6), which a scan of
+// People answers by binary search: one or two bounds or an equality, a
+// literal on either side, sometimes another conjunct before or after them
+// (one before that can fail ends the narrowing).
+std::string KeyRange(Rng& rng) {
+  static const std::vector<std::string> kOps = {"=", "<", "<=", ">", ">="};
+  auto bound = [&rng] {
+    return rng.Chance(80) ? std::to_string(rng.Below(8)) : RandomLiteral(rng);
+  };
+  std::string where = rng.Chance(25)
+                          ? bound() + " " + rng.Pick(kOps) + " [Id]"
+                          : "[Id] " + rng.Pick(kOps) + " " + bound();
+  if (rng.Chance(50)) where += " AND [Id] " + rng.Pick(kOps) + " " + bound();
+  if (rng.Chance(30)) {
+    const std::string other = Comparison(rng, 1);
+    where = rng.Chance(50) ? where + " AND " + other : other + " AND " + where;
+  }
+  return where;
+}
+
 std::string SqlSelect(Rng& rng) {
   std::string stmt = "SELECT ";
   if (rng.Chance(15)) stmt += "TOP " + std::to_string(rng.Below(5)) + " ";
@@ -217,7 +237,9 @@ std::string SqlSelect(Rng& rng) {
     stmt += " JOIN " + TableName(rng) + " ON " + ColumnName(rng) + " = " +
             ColumnName(rng);
   }
-  if (rng.Chance(45)) stmt += " WHERE " + Comparison(rng, 2);
+  if (rng.Chance(45)) {
+    stmt += " WHERE " + (rng.Chance(35) ? KeyRange(rng) : Comparison(rng, 2));
+  }
   if (rng.Chance(25)) {
     stmt += " ORDER BY " + ColumnName(rng);
     if (rng.Chance(40)) stmt += " DESC";
@@ -225,12 +247,17 @@ std::string SqlSelect(Rng& rng) {
   return stmt;
 }
 
-// One SHAPE side: SELECT <list> FROM <table>, with an optional WHERE and an
-// optional ORDER BY on the relate column `key` or on any column, either way.
+// One SHAPE side: SELECT <list> FROM <table>, with an optional WHERE (often
+// a key range on People) and an optional ORDER BY on the relate column `key`
+// or on any column, either way.
 std::string ShapeSelect(Rng& rng, const std::string& list,
                         const std::string& table, const std::string& key) {
   std::string select = "{SELECT " + list + " FROM " + table;
-  if (rng.Chance(30)) select += " WHERE " + Comparison(rng, 1);
+  if (rng.Chance(30)) {
+    select += " WHERE " + (table == "People" && rng.Chance(50)
+                               ? KeyRange(rng)
+                               : Comparison(rng, 1));
+  }
   if (rng.Chance(70)) {
     select += " ORDER BY [" + (rng.Chance(70) ? key : ColumnName(rng)) + "]";
     if (rng.Chance(30)) select += " DESC";

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -210,14 +211,23 @@ bool SameCell(const Value& a, const Value& b) {
 
 }  // namespace
 
-const shape::ShapeStatement* ShapeSourceOf(const DmxStatement& statement) {
-  const CasesetSource* source = nullptr;
+namespace {
+
+// The caseset source of an INSERT INTO or PREDICTION JOIN, or nullptr.
+const CasesetSource* SourceOf(const DmxStatement& statement) {
   if (const auto* insert = std::get_if<InsertIntoStatement>(&statement)) {
-    source = &insert->source;
-  } else if (const auto* join =
-                 std::get_if<PredictionJoinStatement>(&statement)) {
-    source = &join->source;
+    return &insert->source;
   }
+  if (const auto* join = std::get_if<PredictionJoinStatement>(&statement)) {
+    return &join->source;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+const shape::ShapeStatement* ShapeSourceOf(const DmxStatement& statement) {
+  const CasesetSource* source = SourceOf(statement);
   return source == nullptr ? nullptr
                            : std::get_if<shape::ShapeStatement>(source);
 }
@@ -249,6 +259,157 @@ CheckResult CheckShape(const rel::Database& db,
 }
 
 // ---------------------------------------------------------------------------
+// Ordered-scan oracle: narrowed scans against full scans.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A copy of `db` in which each table holds its rows reversed, behind a NULL
+// row that is deleted again: the NULL clears every in-order bit and
+// RetainRows keeps the bits clear, so a SELECT over the copy scans every
+// row.
+Result<std::unique_ptr<rel::Database>> UnflaggedCopy(const rel::Database& db) {
+  auto copy = std::make_unique<rel::Database>();
+  for (const std::string& name : db.ListTables()) {
+    DMX_ASSIGN_OR_RETURN(const rel::Table* table, db.GetTable(name));
+    DMX_ASSIGN_OR_RETURN(rel::Table * twin,
+                         copy->CreateTable(name, table->schema()));
+    std::vector<Row> rows(
+        1, Row(table->schema()->num_columns(), Value::Null()));
+    rows.insert(rows.end(), table->rows().rbegin(), table->rows().rend());
+    DMX_RETURN_IF_ERROR(twin->InsertAll(std::move(rows)));
+    std::vector<bool> keep(twin->num_rows(), true);
+    keep[0] = false;
+    twin->RetainRows(keep);
+  }
+  return copy;
+}
+
+// `rows` in a canonical order (cells by Value::Compare, then by kind), so
+// two results compare as multisets.
+std::vector<Row> Canonical(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t c = 0; c < a.size() && c < b.size(); ++c) {
+      if (int cmp = a[c].Compare(b[c]); cmp != 0) return cmp < 0;
+      if (a[c].kind() != b[c].kind()) return a[c].kind() < b[c].kind();
+    }
+    return a.size() < b.size();
+  });
+  return rows;
+}
+
+bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      if (!SameCell(a[r][c], b[r][c])) return false;
+    }
+  }
+  return true;
+}
+
+// The SELECTs `text` runs: a SQL SELECT, the SELECT source of an INSERT
+// INTO or PREDICTION JOIN, or each side of a SHAPE.
+std::vector<rel::SelectStatement> SelectsOf(const std::string& text) {
+  std::vector<rel::SelectStatement> selects;
+  auto parsed = ParseDmx(text);
+  if (!parsed.ok()) return selects;
+  if (parsed->is_sql) {
+    auto sql = rel::ParseSql(text);
+    if (!sql.ok()) return selects;
+    if (const auto* select = std::get_if<rel::SelectStatement>(&*sql)) {
+      selects.push_back(*select);
+    }
+    return selects;
+  }
+  if (!parsed->statement.has_value()) return selects;
+  const CasesetSource* source = SourceOf(*parsed->statement);
+  if (source == nullptr) return selects;
+  if (const auto* select = std::get_if<rel::SelectStatement>(source)) {
+    selects.push_back(*select);
+  } else if (const auto* shape = std::get_if<shape::ShapeStatement>(source)) {
+    selects.push_back(shape->master);
+    for (const shape::AppendClause& append : shape->appends) {
+      selects.push_back(append.child);
+    }
+  }
+  return selects;
+}
+
+// Runs `select` over `db` and over `full` (scanned in full). Both must fail
+// with the same code, or both succeed with the same rows: row for row when
+// `in_order`, else as multisets.
+CheckResult CompareScans(const rel::Database& db, const rel::Database& full,
+                         const rel::SelectStatement& select, bool in_order) {
+  auto narrowed = rel::ExecuteSelect(db, select);
+  auto scanned = rel::ExecuteSelect(full, select);
+  if (narrowed.ok() != scanned.ok() ||
+      (!narrowed.ok() && narrowed.status().code() != scanned.status().code())) {
+    return CheckResult::Fail("over in-order tables: " +
+                             narrowed.status().ToString() +
+                             ", over full scans: " +
+                             scanned.status().ToString());
+  }
+  if (!narrowed.ok()) return CheckResult::Pass();
+  std::vector<Row> a = narrowed->rows();
+  std::vector<Row> b = scanned->rows();
+  if (!in_order) {
+    a = Canonical(std::move(a));
+    b = Canonical(std::move(b));
+  }
+  if (!narrowed->schema()->Equals(*scanned->schema()) || !SameRows(a, b)) {
+    return CheckResult::Fail(
+        std::string("rows over in-order tables differ from a full scan's") +
+        (in_order ? " under a total ORDER BY" : " as multisets"));
+  }
+  return CheckResult::Pass();
+}
+
+}  // namespace
+
+CheckResult CheckOrderedScans(const rel::Database& db, std::string_view text) {
+  const std::string statement(text);
+  std::vector<rel::SelectStatement> selects = SelectsOf(statement);
+  if (selects.empty()) return CheckResult::Pass();
+  auto full = UnflaggedCopy(db);
+  if (!full.ok()) {
+    return CheckResult::Fail("copying the catalog failed: " +
+                             full.status().ToString());
+  }
+  for (const rel::SelectStatement& select : selects) {
+    bool aggregating = !select.group_by.empty();
+    for (const rel::SelectItem& item : select.items) {
+      if (!item.star && item.expr->ContainsAggregate()) aggregating = true;
+    }
+    if (aggregating) continue;
+    if (!select.top.has_value()) {
+      CheckResult same = CompareScans(db, **full, select, false);
+      if (!same.ok) return CheckResult::Fail(same.error + ": " + statement);
+    }
+    // Every column of every range, after the statement's own keys, makes
+    // the order total, so TOP picks the same rows on both sides.
+    rel::SelectStatement total = select;
+    std::vector<rel::TableRef> ranges = {select.from};
+    for (const rel::JoinClause& join : select.joins) {
+      ranges.push_back(join.table);
+    }
+    for (const rel::TableRef& range : ranges) {
+      auto table = db.GetTable(range.table);
+      if (!table.ok()) continue;
+      for (const ColumnDef& column : (*table)->schema()->columns()) {
+        total.order_by.push_back(
+            {rel::Expr::MakeColumnRef(range.effective_alias(), column.name),
+             true});
+      }
+    }
+    CheckResult same = CompareScans(db, **full, total, true);
+    if (!same.ok) return CheckResult::Fail(same.error + ": " + statement);
+  }
+  return CheckResult::Pass();
+}
+
+// ---------------------------------------------------------------------------
 // Target 1: differential analyzer / executor oracle.
 // ---------------------------------------------------------------------------
 
@@ -268,6 +429,8 @@ CheckResult CheckDmxStatement(std::string_view text) {
       if (!shaped.ok) return CheckResult::Fail(shaped.error + ": " + statement);
     }
   }
+  CheckResult scans = CheckOrderedScans(*provider.database(), statement);
+  if (!scans.ok) return scans;
 
   DmxAnalyzer analyzer(AnalyzerContext{provider.models(), provider.services(),
                                        provider.database()});

@@ -16,7 +16,9 @@
 //    like kNotFound are fine); statements the analyzer rejects must also be
 //    rejected by the executor, divergences allowlisted per rule id.
 //    Every SHAPE source the reader accepts must also equal the nested-loop
-//    reference relate (CheckShape).
+//    reference relate (CheckShape), and every SELECT the statement runs
+//    must return over in-order tables what a full scan returns
+//    (CheckOrderedScans).
 //  * CheckStoreRecovery — a statement sequence under an injected I/O fault,
 //    then reopen: the recovered catalog must equal the in-memory oracle
 //    state after exactly the successfully-executed statement prefix.
@@ -86,6 +88,18 @@ const shape::ShapeStatement* ShapeSourceOf(const DmxStatement& statement);
 /// the parent's.
 CheckResult CheckShape(const rel::Database& db,
                        const shape::ShapeStatement& stmt);
+
+/// Ordered-scan oracle: every SELECT that `text` runs (a SQL SELECT, the
+/// SELECT source of an INSERT INTO or PREDICTION JOIN, each side of a SHAPE)
+/// must return over `db` what it returns over a copy of `db` whose tables
+/// hold their rows reversed with every column's in-order bit clear, so that
+/// no scan of the copy is narrowed (rel::Table::in_order). Without TOP the
+/// results must be equal as multisets. With an ORDER BY extended by every
+/// column of every table they must be equal row for row. Either way an
+/// error on one side must be an error of the same code on the other.
+/// Aggregating SELECTs are skipped: a SUM over another row order may round
+/// differently.
+CheckResult CheckOrderedScans(const rel::Database& db, std::string_view text);
 
 /// Builds the fixed fuzzing catalog on a fresh provider: tables People /
 /// Pets, trained model [M], untrained model [U] — the world the grammar

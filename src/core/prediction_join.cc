@@ -1,12 +1,14 @@
 #include "core/prediction_join.h"
 
 #include <span>
+#include <utility>
 
 #include "common/exec_guard.h"
 #include "core/case_binder.h"
 #include "core/caseset_source.h"
 #include "core/dmx_analyzer.h"
 #include "core/udf.h"
+#include "relational/expression.h"
 
 namespace dmx {
 
@@ -58,6 +60,45 @@ Result<Rowset> FlattenOneColumn(const Rowset& input, size_t column) {
     }
   }
   return out;
+}
+
+// One bound WHERE conjunct of a prediction join: both operands and the
+// comparison, resolved once per statement.
+struct BoundFilter {
+  BoundDmxExpr lhs;
+  rel::BinaryOp op;
+  BoundDmxExpr rhs;
+};
+
+Result<rel::BinaryOp> BindComparison(const std::string& op) {
+  static constexpr std::pair<const char*, rel::BinaryOp> kOps[] = {
+      {"=", rel::BinaryOp::kEq}, {"<>", rel::BinaryOp::kNe},
+      {"<", rel::BinaryOp::kLt}, {"<=", rel::BinaryOp::kLe},
+      {">", rel::BinaryOp::kGt}, {">=", rel::BinaryOp::kGe}};
+  for (const auto& [spelling, bound] : kOps) {
+    if (op == spelling) return bound;
+  }
+  return InvalidArgument() << "unknown comparison operator '" << op
+                           << "' in the prediction join WHERE";
+}
+
+// NULL on either side fails the conjunct.
+bool Passes(const Value& lhs, rel::BinaryOp op, const Value& rhs) {
+  if (lhs.is_null() || rhs.is_null()) return false;
+  switch (op) {
+    case rel::BinaryOp::kEq:
+      return lhs.Equals(rhs);
+    case rel::BinaryOp::kNe:
+      return !lhs.Equals(rhs);
+    case rel::BinaryOp::kLt:
+      return lhs.Compare(rhs) < 0;
+    case rel::BinaryOp::kLe:
+      return lhs.Compare(rhs) <= 0;
+    case rel::BinaryOp::kGt:
+      return lhs.Compare(rhs) > 0;
+    default:  // kGe; BindComparison admits nothing else.
+      return lhs.Compare(rhs) >= 0;
+  }
 }
 
 }  // namespace
@@ -121,16 +162,17 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     if (!item.alias.empty()) columns.back().name = item.alias;
     items.push_back(std::move(bound));
   }
-  std::vector<std::pair<BoundDmxExpr, BoundDmxExpr>> filters;
+  std::vector<BoundFilter> filters;
   filters.reserve(stmt.where.size());
   for (const DmxFilter& filter : stmt.where) {
     DMX_ASSIGN_OR_RETURN(BoundDmxExpr lhs,
                          BindDmxExpr(filter.lhs, *model, source_schema,
                                      stmt.source_alias));
+    DMX_ASSIGN_OR_RETURN(rel::BinaryOp op, BindComparison(filter.op));
     DMX_ASSIGN_OR_RETURN(BoundDmxExpr rhs,
                          BindDmxExpr(filter.rhs, *model, source_schema,
                                      stmt.source_alias));
-    filters.emplace_back(std::move(lhs), std::move(rhs));
+    filters.push_back({std::move(lhs), op, std::move(rhs)});
   }
   Rowset out(Schema::Make(std::move(columns)));
 
@@ -153,22 +195,10 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).
     bool keep = true;
-    for (size_t f = 0; f < filters.size(); ++f) {
-      const std::string& op = stmt.where[f].op;
-      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(filters[f].first, ctx));
-      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(filters[f].second, ctx));
-      if (lhs.is_null() || rhs.is_null()) {
-        keep = false;
-        break;
-      }
-      int cmp = lhs.Compare(rhs);
-      bool pass = op == "=" ? lhs.Equals(rhs)
-                  : op == "<>" ? !lhs.Equals(rhs)
-                  : op == "<" ? cmp < 0
-                  : op == "<=" ? cmp <= 0
-                  : op == ">" ? cmp > 0
-                              : cmp >= 0;
-      if (!pass) {
+    for (const BoundFilter& filter : filters) {
+      DMX_ASSIGN_OR_RETURN(Value lhs, EvaluateDmxExpr(filter.lhs, ctx));
+      DMX_ASSIGN_OR_RETURN(Value rhs, EvaluateDmxExpr(filter.rhs, ctx));
+      if (!Passes(lhs, filter.op, rhs)) {
         keep = false;
         break;
       }

@@ -1,6 +1,7 @@
 #include "relational/sql_executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/exec_guard.h"
@@ -80,6 +81,115 @@ JoinAnalysis AnalyzeJoin(const ExprPtr& on, const Scope& left_scope,
     analysis.residual.push_back(c);
   }
   return analysis;
+}
+
+// A comparison whose operands are each a column reference or a literal.
+// Its evaluation cannot fail: it yields TRUE, FALSE or NULL.
+bool IsLeafComparison(const Expr& expr) {
+  if (expr.kind != ExprKind::kBinary) return false;
+  switch (expr.binary_op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      break;
+    default:
+      return false;
+  }
+  for (const ExprPtr& side : expr.children) {
+    if (side->kind != ExprKind::kColumnRef &&
+        side->kind != ExprKind::kLiteral) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// `literal op column` as `column op' literal`.
+BinaryOp Flip(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt: return BinaryOp::kGt;
+    case BinaryOp::kLe: return BinaryOp::kGe;
+    case BinaryOp::kGt: return BinaryOp::kLt;
+    case BinaryOp::kGe: return BinaryOp::kLe;
+    default: return op;
+  }
+}
+
+struct RowRange {
+  size_t lo;
+  size_t hi;
+};
+
+// The row range [lo, hi) of `table` outside which no row passes `where`
+// (bound against the table alone), found by binary search over columns
+// whose rows are in order (Table::in_order). Only the leading run of
+// top-level AND conjuncts that are leaf comparisons is read. Such a
+// conjunct cannot fail, so evaluating `where` on a row outside the range
+// stops, FALSE, inside that run: skipping the row changes neither the
+// result nor any error. A conjunct `column op literal` (or `literal op
+// column`) narrows when the column is in order, `op` is =, <, <=, > or >=,
+// and the literal is neither NULL nor NaN. The caller still evaluates the
+// whole WHERE on every row of the range.
+RowRange NarrowScan(const Table& table, const ExprPtr& where) {
+  const std::vector<Row>& rows = table.rows();
+  RowRange range{0, rows.size()};
+  std::vector<ExprPtr> conjuncts;
+  CollectConjuncts(where, &conjuncts);
+  for (const ExprPtr& conjunct : conjuncts) {
+    if (!IsLeafComparison(*conjunct)) break;
+    const Expr* column = conjunct->children[0].get();
+    const Expr* literal = conjunct->children[1].get();
+    BinaryOp op = conjunct->binary_op;
+    if (column->kind == ExprKind::kLiteral) {
+      std::swap(column, literal);
+      op = Flip(op);
+    }
+    if (column->kind != ExprKind::kColumnRef ||
+        literal->kind != ExprKind::kLiteral || op == BinaryOp::kNe) {
+      continue;
+    }
+    const Value& bound = literal->literal;
+    const auto col = static_cast<size_t>(column->bound_index);
+    const bool nan = bound.is_double() && std::isnan(bound.double_value());
+    if (bound.is_null() || nan || !table.in_order(col)) {
+      continue;
+    }
+    // First row of the range at which `holds` turns false; `holds` is
+    // true on a prefix of an in-order column.
+    auto end_of = [&](auto holds) {
+      return static_cast<size_t>(
+          std::partition_point(rows.begin() + range.lo,
+                               rows.begin() + range.hi,
+                               [&](const Row& row) {
+                                 return holds(row[col].Compare(bound));
+                               }) -
+          rows.begin());
+    };
+    auto below = [](int cmp) { return cmp < 0; };
+    auto not_above = [](int cmp) { return cmp <= 0; };
+    switch (op) {
+      case BinaryOp::kEq:
+        range.lo = end_of(below);
+        range.hi = end_of(not_above);
+        break;
+      case BinaryOp::kLt:
+        range.hi = end_of(below);
+        break;
+      case BinaryOp::kLe:
+        range.hi = end_of(not_above);
+        break;
+      case BinaryOp::kGt:
+        range.lo = end_of(not_above);
+        break;
+      default:  // kGe
+        range.lo = end_of(below);
+        break;
+    }
+  }
+  return range;
 }
 
 // Unique output column naming: bare name unless it collides, then
@@ -376,8 +486,9 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
   // aggregation, which groups contiguous rows, gathers it into owned rows.
   std::vector<size_t> selection;
   bool use_selection = false;
+  const Table* base = nullptr;
   if (stmt.has_from()) {
-    DMX_ASSIGN_OR_RETURN(const Table* base, db.GetTable(stmt.from.table));
+    DMX_ASSIGN_OR_RETURN(base, db.GetTable(stmt.from.table));
     schemas.push_back(base->schema().get());
     offsets.push_back(0);
     aliases.push_back(stmt.from.effective_alias());
@@ -501,8 +612,11 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
       rows = std::move(filtered);
       working = &rows;
     } else {
-      selection.reserve(working->size());
-      for (size_t i = 0; i < working->size(); ++i) {
+      // A borrowed scan is the base table's own rows: only the range its
+      // in-order columns leave needs the predicate.
+      const RowRange range = NarrowScan(*base, stmt.where);
+      selection.reserve(range.hi - range.lo);
+      for (size_t i = range.lo; i < range.hi; ++i) {
         DMX_RETURN_IF_ERROR(GuardCheck());
         DMX_ASSIGN_OR_RETURN(bool pass,
                              EvalPredicate(*stmt.where, (*working)[i]));
@@ -638,6 +752,11 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
     Row out;  // dmx-lint: allow(hot-loop-alloc)
     out.reserve(projections.size());
     for (const ExprPtr& p : projections) {
+      // A bound column reference is its cell; only computed items evaluate.
+      if (p->kind == ExprKind::kColumnRef) {
+        out.push_back(row[static_cast<size_t>(p->bound_index)]);
+        continue;
+      }
       DMX_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
       out.push_back(std::move(v));
     }

@@ -31,8 +31,19 @@ Status Table::CoerceForInsert(Row* row) const {
   return Status::OK();
 }
 
+void Table::TrackOrder(const Row* prev, const Row& row) {
+  for (size_t c = 0; c < row.size(); ++c) {
+    if (!in_order_[c]) continue;
+    if (row[c].is_null() ||
+        (prev != nullptr && (*prev)[c].Compare(row[c]) > 0)) {
+      in_order_[c] = false;
+    }
+  }
+}
+
 Status Table::Insert(Row row) {
   DMX_RETURN_IF_ERROR(CoerceForInsert(&row));
+  TrackOrder(rows_.empty() ? nullptr : &rows_.back(), row);
   rows_.push_back(std::move(row));
   return Status::OK();
 }
@@ -43,11 +54,21 @@ Status Table::InsertAll(std::vector<Row> rows) {
   for (Row& row : rows) {
     DMX_RETURN_IF_ERROR(CoerceForInsert(&row));
   }
+  const Row* prev = rows_.empty() ? nullptr : &rows_.back();
+  for (const Row& row : rows) {
+    TrackOrder(prev, row);
+    prev = &row;
+  }
   // A range insert grows geometrically; an exact reserve here would
   // reallocate the whole table on every single-row INSERT.
   rows_.insert(rows_.end(), std::make_move_iterator(rows.begin()),
                std::make_move_iterator(rows.end()));
   return Status::OK();
+}
+
+void Table::Clear() {
+  rows_.clear();
+  in_order_.assign(in_order_.size(), true);
 }
 
 void Table::RetainRows(const std::vector<bool>& keep) {

@@ -30,7 +30,7 @@ void WipeDir(const std::string& dir) {
   }
 }
 
-// Per-thread workload: a private table + model namespace (T<i> / M<i>), so
+// Per-thread workload: private tables and a model (T<i>, R<i> / M<i>), so
 // DDL never races on names, plus reads of *other* threads' tables to force
 // genuine reader/writer interleavings. Tolerated failures: kNotFound (the
 // other thread hasn't created its table yet / already dropped the model) and
@@ -48,12 +48,29 @@ void RunSession(Provider* provider, int id, std::atomic<int>* failures) {
     }
   };
 
+  // A range SELECT on an in-order column is narrowed by binary search; its
+  // row count is known here because only this thread writes its tables.
+  auto expect_rows = [&](const std::string& statement, size_t rows) {
+    auto result = conn->Execute(statement);
+    if (!result.ok() || result->num_rows() != rows) {
+      ADD_FAILURE() << "thread " << id << ": " << statement << " -> "
+                    << (result.ok() ? std::to_string(result->num_rows()) +
+                                          " rows, expected " +
+                                          std::to_string(rows)
+                                    : result.status().ToString());
+      failures->fetch_add(1);
+    }
+  };
+  const std::string ranged = "R" + std::to_string(id);
+
   must("CREATE TABLE [" + table + "] ([Id] LONG, [X] DOUBLE, [Y] LONG)");
+  must("CREATE TABLE [" + ranged + "] ([Id] LONG, [V] LONG)");
   for (int round = 0; round < 5; ++round) {
-    // DML burst: six rows per round.
+    // DML burst: six rows per round, in [Id] order except in round 3, whose
+    // rows arrive reversed and clear [Id]'s in-order bit for good.
     std::string insert = "INSERT INTO [" + table + "] VALUES ";
     for (int r = 0; r < 6; ++r) {
-      int id_value = round * 6 + r;
+      int id_value = round * 6 + (round == 3 ? 5 - r : r);
       if (r > 0) insert += ", ";
       insert += "(" + std::to_string(id_value) + ", " +
                 std::to_string(id_value % 7) + ".5, " +
@@ -61,6 +78,19 @@ void RunSession(Provider* provider, int id, std::atomic<int>* failures) {
     }
     must(insert);
     must("SELECT [Id], [X] FROM [" + table + "] ORDER BY [Id]");
+    expect_rows("SELECT [Id] FROM [" + table + "] WHERE [Id] >= " +
+                    std::to_string(round * 6 + 1) + " AND [Id] < " +
+                    std::to_string(round * 6 + 5),
+                4);
+
+    // [R<i>]'s in-order bit flips every round: the DELETE sets it, the
+    // first INSERT keeps it and the second clears it. Range SELECTs read
+    // the table in both states, here and from the neighbour thread.
+    must("DELETE FROM [" + ranged + "]");
+    must("INSERT INTO [" + ranged + "] VALUES (1, 1), (2, 2), (3, 3)");
+    expect_rows("SELECT [V] FROM [" + ranged + "] WHERE [Id] >= 2", 2);
+    must("INSERT INTO [" + ranged + "] VALUES (0, 4)");
+    expect_rows("SELECT [V] FROM [" + ranged + "] WHERE [Id] < 2", 2);
 
     // Cross-thread read: whatever state the neighbour's table is in, the
     // read must return a Status, never crash or see a torn row.
@@ -69,6 +99,14 @@ void RunSession(Provider* provider, int id, std::atomic<int>* failures) {
     if (!peek.ok() && !peek.status().IsNotFound()) {
       ADD_FAILURE() << "thread " << id << " peek: "
                     << peek.status().ToString();
+      failures->fetch_add(1);
+    }
+    const std::string other_ranged = "R" + std::to_string((id + 1) % kThreads);
+    auto range_peek = conn->Execute("SELECT [V] FROM [" + other_ranged +
+                                    "] WHERE [Id] > 0 AND [Id] <= 2");
+    if (!range_peek.ok() && !range_peek.status().IsNotFound()) {
+      ADD_FAILURE() << "thread " << id << " range peek: "
+                    << range_peek.status().ToString();
       failures->fetch_add(1);
     }
 

@@ -15,6 +15,7 @@
 #include "core/dmx_analyzer.h"
 #include "core/dmx_parser.h"
 #include "core/provider.h"
+#include "fuzz/dmx_grammar.h"
 #include "fuzz/fuzz_targets.h"
 #include "shape/shape_executor.h"
 
@@ -81,6 +82,40 @@ TEST(FuzzRegressionTest, ShapeSeedsExecute) {
     EXPECT_GT(caseset->num_rows(), 0u) << name;
   }
   EXPECT_GE(seeds, 4u);
+}
+
+// The valid-range-* seeds narrow their scans: each runs over the fuzz
+// catalog, whose People.Id is in order, passes the ordered-scan oracle and
+// executes.
+TEST(FuzzRegressionTest, RangeSeedsExecute) {
+  size_t seeds = 0;
+  for (const auto& [name, data] : LoadInputs("corpus", "dmx_statement")) {
+    if (name.rfind("valid-range-", 0) != 0) continue;
+    ++seeds;
+    Provider provider;
+    fuzz::PopulateFuzzCatalog(&provider);
+    auto people = provider.database()->GetTable("People");
+    ASSERT_TRUE(people.ok());
+    ASSERT_TRUE((*people)->in_order(0)) << "People.Id";
+    CheckResult scans = fuzz::CheckOrderedScans(*provider.database(), data);
+    EXPECT_TRUE(scans.ok) << name << ": " << scans.error;
+    auto result = provider.Connect()->Execute(data);
+    EXPECT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+  }
+  EXPECT_GE(seeds, 4u);
+}
+
+// Statements drawn from the grammar, a share of them with key ranges on
+// People.Id, through the ordered-scan oracle over one fuzz catalog.
+TEST(FuzzRegressionTest, GeneratedSelectsMatchFullScans) {
+  Provider provider;
+  fuzz::PopulateFuzzCatalog(&provider);
+  fuzz::Rng rng(27);
+  for (int i = 0; i < 10000; ++i) {
+    CheckResult scans = fuzz::CheckOrderedScans(*provider.database(),
+                                                fuzz::GenerateStatement(rng));
+    ASSERT_TRUE(scans.ok) << scans.error;
+  }
 }
 
 TEST(FuzzRegressionTest, DmxStatementFixedFindings) {

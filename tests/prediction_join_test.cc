@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dmx_parser.h"
 #include "core/provider.h"
 #include "datagen/warehouse.h"
 
@@ -377,6 +378,27 @@ TEST_F(PredictionJoinDiagnosticsTest, ValidityDoesNotDependOnTheData) {
           << on_none;
       ExpectDiagnostic(d, on_none);
     }
+  }
+}
+
+// The WHERE operator binds once, next to its operands. One the parser never
+// produces fails at bind time, so over zero cases as over many.
+TEST_F(PredictionJoinDiagnosticsTest, UnknownWhereOperatorFailsAtBind) {
+  for (bool empty : {false, true}) {
+    auto parsed = ParseDmx("SELECT t.[Customer ID] FROM [M]" + Source(empty) +
+                           " WHERE Predict([Age]) > 1");
+    ASSERT_TRUE(parsed.ok() && parsed->statement.has_value());
+    auto& join = std::get<PredictionJoinStatement>(*parsed->statement);
+    ASSERT_EQ(join.where.size(), 1u);
+    join.where[0].op = "=~";
+    auto result = ExecutePredictionJoin(*provider_.database(),
+                                        provider_.models(), join, nullptr);
+    ASSERT_FALSE(result.ok()) << (empty ? "zero cases" : "all cases");
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find(
+                  "unknown comparison operator '=~'"),
+              std::string::npos)
+        << result.status().ToString();
   }
 }
 
