@@ -316,9 +316,7 @@ std::vector<rel::SelectStatement> SelectsOf(const std::string& text) {
   auto parsed = ParseDmx(text);
   if (!parsed.ok()) return selects;
   if (parsed->is_sql) {
-    auto sql = rel::ParseSql(text);
-    if (!sql.ok()) return selects;
-    if (const auto* select = std::get_if<rel::SelectStatement>(&*sql)) {
+    if (const auto* select = std::get_if<rel::SelectStatement>(&*parsed->sql)) {
       selects.push_back(*select);
     }
     return selects;
@@ -894,6 +892,44 @@ CheckResult CheckStoreRecovery(std::string_view input) {
 // Target 3: tokenizer / parser / analyzer robustness.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// ParseDmx's result on SQL text against a standalone ParseSql's: the same
+// status code and message on failure; on success the same statement kind,
+// and for a SELECT the same WHERE clause.
+CheckResult SameSqlParse(const Result<DmxParseResult>& dmx,
+                         const Result<rel::SqlStatement>& sql) {
+  if (!dmx.ok() || !sql.ok()) {
+    if (dmx.ok() || sql.ok() || dmx.status().code() != sql.status().code() ||
+        dmx.status().message() != sql.status().message()) {
+      return CheckResult::Fail(
+          "ParseDmx and ParseSql disagree on SQL text: " +
+          (dmx.ok() ? std::string("ok") : dmx.status().ToString()) + " vs " +
+          (sql.ok() ? std::string("ok") : sql.status().ToString()));
+    }
+    return CheckResult::Pass();
+  }
+  if (!dmx->is_sql || !dmx->sql.has_value() || dmx->statement.has_value()) {
+    return CheckResult::Fail("ParseDmx did not return SQL text as SQL");
+  }
+  if (dmx->sql->index() != sql->index()) {
+    return CheckResult::Fail("ParseDmx and ParseSql parsed different kinds");
+  }
+  const auto* a = std::get_if<rel::SelectStatement>(&*dmx->sql);
+  const auto* b = std::get_if<rel::SelectStatement>(&*sql);
+  if (a != nullptr) {
+    const std::string wa = a->where ? a->where->ToString() : "";
+    const std::string wb = b->where ? b->where->ToString() : "";
+    if (wa != wb) {
+      return CheckResult::Fail("ParseDmx and ParseSql disagree on WHERE: " +
+                               wa + " vs " + wb);
+    }
+  }
+  return CheckResult::Pass();
+}
+
+}  // namespace
+
 CheckResult CheckTokenizerParser(std::string_view text) {
   if (text.size() > (1u << 16)) return CheckResult::Pass();
   std::string statement(text);
@@ -912,6 +948,15 @@ CheckResult CheckTokenizerParser(std::string_view text) {
   auto sql = rel::ParseSql(statement);
   if (!sql.ok() && !IsCleanFailure(sql.status().code())) {
     return CheckResult::Fail("ParseSql returned " + sql.status().ToString());
+  }
+
+  // ParseDmx parses SQL text from the tokens it classified on; that single
+  // parse must answer exactly as a standalone ParseSql of the same text.
+  if (tokens.ok() && IsSqlCommand(*tokens)) {
+    CheckResult same = SameSqlParse(dmx, sql);
+    if (!same.ok) return same;
+  } else if (dmx.ok() && dmx->is_sql) {
+    return CheckResult::Fail("ParseDmx set is_sql on text classified as DMX");
   }
 
   // Context-free analysis must hold the same contract and only speak in

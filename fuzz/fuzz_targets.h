@@ -25,7 +25,9 @@
 //  * CheckTokenizerParser — raw bytes through tokenizer, both parsers and
 //    the analyzer: every outcome is a well-formed non-kInternal Status (deep
 //    nesting included: kInvalidArgument, never a stack overflow), and every
-//    diagnostic carries a registered rule id.
+//    diagnostic carries a registered rule id. On text ParseDmx classifies as
+//    SQL, its single parse must agree with a standalone ParseSql: the same
+//    status on failure, the same statement kind and SELECT WHERE on success.
 
 #ifndef DMX_FUZZ_FUZZ_TARGETS_H_
 #define DMX_FUZZ_FUZZ_TARGETS_H_

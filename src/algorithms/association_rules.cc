@@ -61,8 +61,7 @@ std::string AssociationModel::ItemName(const AttributeSet& attrs,
 }
 
 Result<CasePrediction> AssociationModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const AttributeSet& attrs, const DataCase& input) const {
   // dmx-hot-begin(ar-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;
@@ -150,11 +149,6 @@ Result<CasePrediction> AssociationModel::Predict(
                      [](const ScoredValue& a, const ScoredValue& b) {
                        return a.probability > b.probability;
                      });
-    if (options.max_histogram > 0 &&
-        prediction.histogram.size() >
-            static_cast<size_t>(options.max_histogram)) {
-      prediction.histogram.resize(options.max_histogram);
-    }
     if (!prediction.histogram.empty()) {
       prediction.predicted = prediction.histogram[0].value;
       prediction.probability = prediction.histogram[0].probability;

@@ -120,8 +120,7 @@ std::vector<double> ClusteringModel::Responsibilities(const AttributeSet& attrs,
 }
 
 Result<CasePrediction> ClusteringModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const AttributeSet& attrs, const DataCase& input) const {
   // dmx-hot-begin(clu-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;
@@ -199,7 +198,7 @@ Result<CasePrediction> ClusteringModel::Predict(
         }
       }
       for (int state = 0; state < card; ++state) {
-        if (probs[state] <= 0 && !options.include_zero_probability) continue;
+        if (probs[state] <= 0) continue;
         ScoredValue sv;
         sv.value = attr.StateValue(state);
         sv.state = state;
@@ -212,11 +211,6 @@ Result<CasePrediction> ClusteringModel::Predict(
                        [](const ScoredValue& a, const ScoredValue& b) {
                          return a.probability > b.probability;
                        });
-      if (options.max_histogram > 0 &&
-          prediction.histogram.size() >
-              static_cast<size_t>(options.max_histogram)) {
-        prediction.histogram.resize(options.max_histogram);
-      }
       if (!prediction.histogram.empty()) {
         prediction.predicted = prediction.histogram[0].value;
         prediction.probability = prediction.histogram[0].probability;

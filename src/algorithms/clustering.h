@@ -48,8 +48,7 @@ class ClusteringModel : public TrainedModel {
   double case_count() const override { return case_count_; }
 
   Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+                                 const DataCase& input) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

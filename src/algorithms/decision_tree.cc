@@ -386,8 +386,7 @@ const std::string& DecisionTreeModel::service_name() const {
 }
 
 Result<CasePrediction> DecisionTreeModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const AttributeSet& attrs, const DataCase& input) const {
   CasePrediction out;
   // dmx-hot-begin(dt-predict)
   for (const TargetTree& tree : trees_) {
@@ -421,7 +420,7 @@ Result<CasePrediction> DecisionTreeModel::Predict(
       prediction.histogram.reserve(leaf.class_counts.size());
       for (size_t cls = 0; cls < leaf.class_counts.size(); ++cls) {
         double p = leaf.support > 0 ? leaf.class_counts[cls] / leaf.support : 0;
-        if (p <= 0 && !options.include_zero_probability) continue;
+        if (p <= 0) continue;
         ScoredValue sv;
         sv.value = target.StateValue(static_cast<int>(cls));
         sv.state = static_cast<int>(cls);
@@ -433,11 +432,6 @@ Result<CasePrediction> DecisionTreeModel::Predict(
                        [](const ScoredValue& a, const ScoredValue& b) {
                          return a.probability > b.probability;
                        });
-      if (options.max_histogram > 0 &&
-          prediction.histogram.size() >
-              static_cast<size_t>(options.max_histogram)) {
-        prediction.histogram.resize(options.max_histogram);
-      }
       if (!prediction.histogram.empty()) {
         prediction.predicted = prediction.histogram[0].value;
         prediction.probability = prediction.histogram[0].probability;

@@ -71,8 +71,7 @@ class DecisionTreeModel : public TrainedModel {
   double case_count() const override { return case_count_; }
 
   Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+                                 const DataCase& input) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

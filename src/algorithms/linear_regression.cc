@@ -189,9 +189,7 @@ Status LinearRegressionModel::Solve(const TargetRegression& reg) const {
 }
 
 Result<CasePrediction> LinearRegressionModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
-  (void)options;
+    const AttributeSet& attrs, const DataCase& input) const {
   // dmx-hot-begin(lr-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;

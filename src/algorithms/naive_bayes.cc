@@ -113,8 +113,7 @@ Status NaiveBayesModel::ConsumeCase(const AttributeSet& attrs,
 }
 
 Result<CasePrediction> NaiveBayesModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const AttributeSet& attrs, const DataCase& input) const {
   // dmx-hot-begin(nb-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;
@@ -219,7 +218,7 @@ Result<CasePrediction> NaiveBayesModel::Predict(
     prediction.histogram.reserve(num_classes);
     for (size_t cls = 0; cls < num_classes; ++cls) {
       double p = norm > 0 ? log_post[cls] / norm : 0;
-      if (p <= 0 && !options.include_zero_probability) continue;
+      if (p <= 0) continue;
       ScoredValue sv;
       sv.value = target.StateValue(static_cast<int>(cls));
       sv.state = static_cast<int>(cls);
@@ -232,11 +231,6 @@ Result<CasePrediction> NaiveBayesModel::Predict(
                      [](const ScoredValue& a, const ScoredValue& b) {
                        return a.probability > b.probability;
                      });
-    if (options.max_histogram > 0 &&
-        prediction.histogram.size() >
-            static_cast<size_t>(options.max_histogram)) {
-      prediction.histogram.resize(options.max_histogram);
-    }
     if (!prediction.histogram.empty()) {
       prediction.predicted = prediction.histogram[0].value;
       prediction.probability = prediction.histogram[0].probability;

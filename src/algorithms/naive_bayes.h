@@ -55,8 +55,7 @@ class NaiveBayesModel : public TrainedModel {
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
 
   Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+                                 const DataCase& input) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

@@ -87,8 +87,7 @@ Status MarkovSequenceModel::ConsumeCase(const AttributeSet& attrs,
 }
 
 Result<CasePrediction> MarkovSequenceModel::Predict(
-    const AttributeSet& attrs, const DataCase& input,
-    const PredictOptions& options) const {
+    const AttributeSet& attrs, const DataCase& input) const {
   // dmx-hot-begin(sa-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
   CasePrediction out;
@@ -120,7 +119,7 @@ Result<CasePrediction> MarkovSequenceModel::Predict(
           counts != nullptr && item < counts->size() ? (*counts)[item] : 0;
       double p = (count + alpha_) /
                  (total + alpha_ * static_cast<double>(vocabulary));
-      if (count <= 0 && !options.include_zero_probability && total > 0) {
+      if (count <= 0 && total > 0) {
         continue;
       }
       ScoredValue sv;
@@ -134,11 +133,6 @@ Result<CasePrediction> MarkovSequenceModel::Predict(
                      [](const ScoredValue& a, const ScoredValue& b) {
                        return a.probability > b.probability;
                      });
-    if (options.max_histogram > 0 &&
-        prediction.histogram.size() >
-            static_cast<size_t>(options.max_histogram)) {
-      prediction.histogram.resize(options.max_histogram);
-    }
     if (!prediction.histogram.empty()) {
       prediction.predicted = prediction.histogram[0].value;
       prediction.probability = prediction.histogram[0].probability;

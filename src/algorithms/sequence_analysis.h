@@ -41,8 +41,7 @@ class MarkovSequenceModel : public TrainedModel {
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
 
   Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input,
-                                 const PredictOptions& options) const override;
+                                 const DataCase& input) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

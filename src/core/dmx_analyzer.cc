@@ -5,7 +5,6 @@
 #include "core/catalog.h"
 #include "core/dmx_parser.h"
 #include "relational/database.h"
-#include "relational/sql_parser.h"
 
 namespace dmx {
 
@@ -657,19 +656,9 @@ AnalysisReport DmxAnalyzer::AnalyzeText(const std::string& text) const {
     report.diagnostics.push_back(std::move(diag));
     return report;
   }
-  if (parsed->is_sql || !parsed->statement.has_value()) {
-    // Plain SQL: the relational binder owns semantic diagnostics, but text
-    // that parses as neither DMX nor SQL should not report "no issues".
-    auto sql = rel::ParseSql(text);
-    if (!sql.ok()) {
-      Diagnostic diag;
-      diag.severity = DiagSeverity::kError;
-      diag.rule = rules::kParseError;
-      diag.message = sql.status().message();
-      report.diagnostics.push_back(std::move(diag));
-    }
-    return report;
-  }
+  // Plain SQL: ParseDmx already parsed it, and the relational binder owns
+  // its semantic diagnostics.
+  if (parsed->is_sql) return report;
   return AnalyzeStatement(*parsed->statement);
 }
 

@@ -568,30 +568,48 @@ Result<ModelDefinition> ParseCreateMiningModel(const std::string& text) {
   return def;
 }
 
+bool IsSqlCommand(const std::vector<Token>& tokens) {
+  if (tokens.empty()) return false;
+  const Token& first = tokens[0];
+  if (first.IsKeyword("CREATE") || first.IsKeyword("DROP") ||
+      first.IsKeyword("EXPORT") || first.IsKeyword("IMPORT")) {
+    return !(tokens.size() > 2 && tokens[1].IsKeyword("MINING") &&
+             tokens[2].IsKeyword("MODEL"));
+  }
+  if (first.IsKeyword("INSERT")) return !InsertLooksLikeDmx(tokens);
+  if (first.IsKeyword("SELECT")) return !SelectLooksLikeDmx(tokens);
+  if (first.IsKeyword("DELETE")) {
+    // DELETE FROM <name> with no WHERE may target a model; anything more is
+    // SQL. The provider re-routes when <name> is a base table.
+    return !(tokens.size() > 2 && tokens[1].IsKeyword("FROM") &&
+             tokens[2].kind == TokenKind::kIdentifier &&
+             (tokens.size() == 3 || tokens[3].IsPunct(";")));
+  }
+  return true;
+}
+
 Result<DmxParseResult> ParseDmx(const std::string& text) {
   DMX_ASSIGN_OR_RETURN(std::vector<Token> token_list, Tokenize(text));
-  DmxParseResult result;
   if (token_list.empty()) {
     return ParseError() << "empty command";
   }
-  TokenStream tokens(token_list);
+  const bool is_sql = IsSqlCommand(token_list);
+  TokenStream tokens(std::move(token_list));
+  DmxParseResult result;
+  if (is_sql) {
+    DMX_ASSIGN_OR_RETURN(result.sql, rel::ParseSqlFrom(&tokens));
+    result.is_sql = true;
+    return result;
+  }
 
   if (tokens.MatchKeywords({"CREATE", "MINING", "MODEL"})) {
     DMX_ASSIGN_OR_RETURN(ModelDefinition def, ParseCreateFrom(&tokens));
     result.statement = CreateModelStatement{std::move(def)};
-  } else if (token_list[0].IsKeyword("INSERT")) {
-    if (!InsertLooksLikeDmx(token_list)) {
-      result.is_sql = true;
-      return result;
-    }
+  } else if (tokens.Peek().IsKeyword("INSERT")) {
     tokens.MatchKeywords({"INSERT", "INTO"});
     DMX_ASSIGN_OR_RETURN(InsertIntoStatement stmt, ParseInsertInto(&tokens));
     result.statement = std::move(stmt);
-  } else if (token_list[0].IsKeyword("SELECT")) {
-    if (!SelectLooksLikeDmx(token_list)) {
-      result.is_sql = true;
-      return result;
-    }
+  } else if (tokens.Peek().IsKeyword("SELECT")) {
     DMX_ASSIGN_OR_RETURN(DmxStatement stmt, ParseDmxSelect(&tokens));
     result.statement = std::move(stmt);
   } else if (tokens.MatchKeywords({"DROP", "MINING", "MODEL"})) {
@@ -619,24 +637,13 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
     }
     stmt.path = tokens.Next().text;
     result.statement = std::move(stmt);
-  } else if (token_list[0].IsKeyword("DELETE")) {
-    // DELETE FROM <name> with no WHERE may target a model; anything more is
-    // SQL. The provider re-routes when <name> is a base table.
-    tokens.MatchKeywords({"DELETE", "FROM"});
-    SourceSpan name_span = TokenSpan(tokens.Peek());
-    auto name = tokens.ExpectIdentifier("name");
-    if (name.ok() && (tokens.AtEnd() || tokens.Peek().IsPunct(";"))) {
-      DeleteFromModelStatement stmt;
-      stmt.model_name = std::move(name).value();
-      stmt.model_span = name_span;
-      result.statement = std::move(stmt);
-      return result;
-    }
-    result.is_sql = true;
-    return result;
   } else {
-    result.is_sql = true;
-    return result;
+    // DELETE FROM <name>: the only other shape IsSqlCommand leaves to DMX.
+    tokens.MatchKeywords({"DELETE", "FROM"});
+    DeleteFromModelStatement stmt;
+    stmt.model_span = TokenSpan(tokens.Peek());
+    stmt.model_name = tokens.Next().text;
+    result.statement = std::move(stmt);
   }
   tokens.MatchPunct(";");
   if (!tokens.AtEnd()) {

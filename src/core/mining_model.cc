@@ -89,13 +89,12 @@ Status MiningModel::InsertCases(RowsetReader* reader,
   return Status::OK();
 }
 
-Result<CasePrediction> MiningModel::Predict(const DataCase& input,
-                                            const PredictOptions& options) const {
+Result<CasePrediction> MiningModel::Predict(const DataCase& input) const {
   if (trained_ == nullptr) {
     return InvalidState() << "model '" << definition_.model_name
                           << "' has not been trained (INSERT INTO it first)";
   }
-  return trained_->Predict(attrs_, input, options);
+  return trained_->Predict(attrs_, input);
 }
 
 Result<ContentNodePtr> MiningModel::BuildContent() const {

@@ -57,8 +57,7 @@ class MiningModel {
                      const std::vector<InsertColumn>* mapping);
 
   /// Prediction entry point for bound cases (see prediction_join.cc).
-  Result<CasePrediction> Predict(const DataCase& input,
-                                 const PredictOptions& options) const;
+  Result<CasePrediction> Predict(const DataCase& input) const;
 
   /// Content graph of the trained state (SELECT * FROM <model>.CONTENT).
   Result<ContentNodePtr> BuildContent() const;

@@ -176,7 +176,6 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
   }
   Rowset out(Schema::Make(std::move(columns)));
 
-  PredictOptions options;
   PredictionRowContext ctx;
   ctx.model = model;
 
@@ -189,8 +188,7 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     const Row& source_row = source.rows()[r];
     DMX_RETURN_IF_ERROR(
         binder.BindCaseInto(source_row, model->attributes(), &input));
-    DMX_ASSIGN_OR_RETURN(CasePrediction prediction,
-                         model->Predict(input, options));
+    DMX_ASSIGN_OR_RETURN(CasePrediction prediction, model->Predict(input));
     ctx.prediction = &prediction;
     ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).

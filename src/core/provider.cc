@@ -13,7 +13,6 @@
 #include "core/prediction_join.h"
 #include "pmml/pmml.h"
 #include "relational/sql_executor.h"
-#include "relational/sql_parser.h"
 #include "store/log_format.h"
 
 namespace dmx {
@@ -381,23 +380,12 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
     return parsed.status().WithContext("parsing statement");
   }
 
-  // SQL text is parsed once here; the parse both classifies the lock mode
-  // and feeds execution in Dispatch.
-  std::optional<rel::SqlStatement> sql;
-  if (parsed->is_sql) {
-    Result<rel::SqlStatement> sql_parsed = rel::ParseSql(command);
-    if (!sql_parsed.ok()) {
-      return sql_parsed.status().WithContext("parsing statement");
-    }
-    sql = std::move(*sql_parsed);
-  }
-
   // Lock regime: reads share the catalogs, everything that can mutate them
   // is exclusive. DELETE FROM is ambiguous (model or table) and mutates
   // either way; EXPORT only reads catalog state.
   bool read_only;
   if (parsed->is_sql) {
-    read_only = std::holds_alternative<rel::SelectStatement>(*sql);
+    read_only = std::holds_alternative<rel::SelectStatement>(*parsed->sql);
   } else {
     const DmxStatement& statement = *parsed->statement;
     read_only = std::holds_alternative<PredictionJoinStatement>(statement) ||
@@ -418,8 +406,8 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
     // Recovery replay: OpenStore holds the catalog lock exclusively; assert
     // that ownership to the analysis instead of self-deadlocking on it.
     provider_->catalog_mu_.AssertHeld();
-    if (read_only) return DispatchRead(*parsed, sql, io);
-    return DispatchWrite(*parsed, sql, command, nullptr, io);
+    if (read_only) return DispatchRead(*parsed, io);
+    return DispatchWrite(*parsed, command, nullptr, io);
   }
 
   // Admission before locks: a saturated provider rejects (or queues) the
@@ -441,7 +429,7 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
     }
     Result<Rowset> result = [&]() -> Result<Rowset> {
       AdoptedReaderLock lock(&provider_->catalog_mu_);
-      return DispatchRead(*parsed, sql, io);
+      return DispatchRead(*parsed, io);
     }();
     if (result.ok()) {
       DMX_RETURN_IF_ERROR(FinishStatementIo(io));
@@ -454,7 +442,7 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
   }
   Result<Rowset> result = [&]() -> Result<Rowset> {
     AdoptedWriterLock lock(&provider_->catalog_mu_);
-    return DispatchWrite(*parsed, sql, command, guard, io);
+    return DispatchWrite(*parsed, command, guard, io);
   }();
   if (result.ok()) {
     DMX_RETURN_IF_ERROR(FinishStatementIo(io));
@@ -501,10 +489,9 @@ Status Connection::FinishStatementIo(StatementIo& io) {
 }
 
 Result<Rowset> Connection::DispatchRead(DmxParseResult& parsed,
-                                        std::optional<rel::SqlStatement>& sql,
                                         StatementIo& io) {
   if (parsed.is_sql) {
-    return rel::Execute(&provider_->database_, *sql);
+    return rel::Execute(&provider_->database_, *parsed.sql);
   }
   DmxStatement& statement = *parsed.statement;
 
@@ -578,7 +565,6 @@ Result<Rowset> Connection::DispatchRead(DmxParseResult& parsed,
 }
 
 Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
-                                         std::optional<rel::SqlStatement>& sql,
                                          const std::string& command,
                                          const ExecGuard* guard,
                                          StatementIo& io) {
@@ -593,7 +579,7 @@ Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
 
   if (parsed.is_sql) {
     DMX_ASSIGN_OR_RETURN(Rowset rowset,
-                         rel::Execute(&provider_->database_, *sql));
+                         rel::Execute(&provider_->database_, *parsed.sql));
     DMX_RETURN_IF_ERROR(JournalLocked(command));
     return rowset;
   }
@@ -693,7 +679,9 @@ Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
       }
     } else {
       DMX_RETURN_IF_ERROR(
-          rel::ExecuteSql(&provider_->database_, command).status());
+          rel::Execute(&provider_->database_,
+                       rel::DeleteStatement{del->model_name, nullptr})
+              .status());
       DMX_RETURN_IF_ERROR(JournalLocked(command));
     }
     return Rowset();

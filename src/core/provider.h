@@ -250,17 +250,12 @@ class Connection {
 
   /// Dispatches one parsed read-only statement (SELECT, PREDICTION JOIN,
   /// CONTENT, EXPORT) against the catalogs under at least a shared lock.
-  /// `sql` carries the relational parse when `parsed.is_sql` (so SQL text is
-  /// parsed exactly once per Execute).
-  Result<Rowset> DispatchRead(DmxParseResult& parsed,
-                              std::optional<rel::SqlStatement>& sql,
-                              StatementIo& io)
+  Result<Rowset> DispatchRead(DmxParseResult& parsed, StatementIo& io)
       DMX_REQUIRES_SHARED(provider_->catalog_mu_);
 
   /// Dispatches one parsed mutating statement (DDL/DML/IMPORT) under the
   /// exclusive lock; journals it to the store on success.
   Result<Rowset> DispatchWrite(DmxParseResult& parsed,
-                               std::optional<rel::SqlStatement>& sql,
                                const std::string& command,
                                const ExecGuard* guard, StatementIo& io)
       DMX_REQUIRES(provider_->catalog_mu_);

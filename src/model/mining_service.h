@@ -68,8 +68,7 @@ class TrainedModel {
   /// `input` carries the bound input attribute values; output slots are
   /// ignored (they are what is being predicted).
   virtual Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                         const DataCase& input,
-                                         const PredictOptions& options) const = 0;
+                                         const DataCase& input) const = 0;
 
   /// Renders the learned structure as a content graph rooted at a
   /// NodeType::kModel node.

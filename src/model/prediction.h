@@ -61,14 +61,6 @@ struct CasePrediction {
   }
 };
 
-/// Options a caller can pass down to TrainedModel::Predict.
-struct PredictOptions {
-  /// Cap on histogram length for set-valued targets (<=0: no cap).
-  int max_histogram = 0;
-  /// Include states with zero posterior probability.
-  bool include_zero_probability = false;
-};
-
 }  // namespace dmx
 
 #endif  // DMX_MODEL_PREDICTION_H_

@@ -311,38 +311,42 @@ Result<SelectStatement> ParseSelectFrom(TokenStream* tokens) {
   return stmt;
 }
 
-Result<SqlStatement> ParseSql(const std::string& text) {
-  DMX_ASSIGN_OR_RETURN(std::vector<Token> token_list, Tokenize(text));
-  TokenStream tokens(std::move(token_list));
+Result<SqlStatement> ParseSqlFrom(TokenStream* tokens) {
   SqlStatement out;
-  if (tokens.Peek().IsKeyword("SELECT")) {
-    DMX_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelectFrom(&tokens));
+  if (tokens->Peek().IsKeyword("SELECT")) {
+    DMX_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelectFrom(tokens));
     out = std::move(stmt);
-  } else if (tokens.MatchKeywords({"CREATE", "TABLE"})) {
-    DMX_ASSIGN_OR_RETURN(CreateTableStatement stmt, ParseCreateTable(&tokens));
+  } else if (tokens->MatchKeywords({"CREATE", "TABLE"})) {
+    DMX_ASSIGN_OR_RETURN(CreateTableStatement stmt, ParseCreateTable(tokens));
     out = std::move(stmt);
-  } else if (tokens.MatchKeyword("INSERT")) {
-    DMX_ASSIGN_OR_RETURN(InsertStatement stmt, ParseInsert(&tokens));
+  } else if (tokens->MatchKeyword("INSERT")) {
+    DMX_ASSIGN_OR_RETURN(InsertStatement stmt, ParseInsert(tokens));
     out = std::move(stmt);
-  } else if (tokens.MatchKeywords({"DROP", "TABLE"})) {
+  } else if (tokens->MatchKeywords({"DROP", "TABLE"})) {
     DropTableStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.name, tokens.ExpectIdentifier("table name"));
+    DMX_ASSIGN_OR_RETURN(stmt.name, tokens->ExpectIdentifier("table name"));
     out = std::move(stmt);
-  } else if (tokens.MatchKeywords({"DELETE", "FROM"})) {
+  } else if (tokens->MatchKeywords({"DELETE", "FROM"})) {
     DeleteStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.table, tokens.ExpectIdentifier("table name"));
-    if (tokens.MatchKeyword("WHERE")) {
-      DMX_ASSIGN_OR_RETURN(stmt.where, ParseOr(&tokens));
+    DMX_ASSIGN_OR_RETURN(stmt.table, tokens->ExpectIdentifier("table name"));
+    if (tokens->MatchKeyword("WHERE")) {
+      DMX_ASSIGN_OR_RETURN(stmt.where, ParseOr(tokens));
     }
     out = std::move(stmt);
   } else {
-    return tokens.ErrorHere("expected a SQL statement");
+    return tokens->ErrorHere("expected a SQL statement");
   }
-  tokens.MatchPunct(";");
-  if (!tokens.AtEnd()) {
-    return tokens.ErrorHere("unexpected trailing input");
+  tokens->MatchPunct(";");
+  if (!tokens->AtEnd()) {
+    return tokens->ErrorHere("unexpected trailing input");
   }
   return out;
+}
+
+Result<SqlStatement> ParseSql(const std::string& text) {
+  DMX_ASSIGN_OR_RETURN(std::vector<Token> token_list, Tokenize(text));
+  TokenStream tokens(std::move(token_list));
+  return ParseSqlFrom(&tokens);
 }
 
 }  // namespace dmx::rel

@@ -14,8 +14,13 @@
 
 namespace dmx::rel {
 
-/// Parses a complete SQL statement from `text`.
+/// Parses a complete SQL statement from `text`: Tokenize + ParseSqlFrom.
 Result<SqlStatement> ParseSql(const std::string& text);
+
+/// Parses a complete SQL statement from the current stream position to the
+/// end: one statement, an optional `;`, then nothing. The DMX front end
+/// hands it the tokens it classified the command on.
+Result<SqlStatement> ParseSqlFrom(TokenStream* tokens);
 
 /// Parses a SELECT statement starting at the current stream position (the
 /// leading SELECT keyword must still be in the stream). Used by embedding

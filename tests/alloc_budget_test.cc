@@ -174,6 +174,28 @@ constexpr double kPredictLinearRegressionCeiling = 48.0;
 // at 100k rows.
 constexpr uint64_t kDeleteOneRowCeiling = 20;
 
+// One point SELECT through Connection::Execute, end to end: tokenize,
+// classify, parse, admit, lock, bind, scan and project. Measured 33 with one
+// tokenization; a second Tokenize plus a copy of the token vector (39) fails
+// it, so the ceiling keeps less than the usual slack.
+constexpr uint64_t kPointSelectCeiling = 36;
+
+TEST_F(AllocBudgetTest, PointSelectStatement) {
+  auto conn = provider_->Connect();
+  Exec(conn.get(), "CREATE TABLE W (Id LONG, City TEXT)");
+  Exec(conn.get(),
+       "INSERT INTO W VALUES (1, 'Oslo'), (2, 'Rome'), (3, 'Bern')");
+  const std::string point = "SELECT Id, City FROM W WHERE Id = 2";
+  Exec(conn.get(), point);  // warm-up
+  AllocStats::Region r;
+  Rowset out = Exec(conn.get(), point);
+  AllocCounts d = r.Delta();
+  std::cout << "[ measured ] PointSelectStatement: " << d.allocs
+            << " allocs (" << d.bytes << " bytes)\n";
+  EXPECT_EQ(out.num_rows(), 1u);
+  EXPECT_LE(d.allocs, kPointSelectCeiling);
+}
+
 TEST_F(AllocBudgetTest, FilteredDeleteOfOneRowIsConstant) {
   rel::Database db;
   ASSERT_TRUE(rel::ExecuteSql(&db, "CREATE TABLE D (Id LONG, Name TEXT)").ok());

@@ -129,7 +129,7 @@ TEST(AssociationTest, RecommendationsExcludeOwnedItems) {
       Params(service, {{"MINIMUM_SUPPORT", Value::Double(2.0)},
                        {"MINIMUM_PROBABILITY", Value::Double(0.1)}}));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}), {});
+  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}));
   ASSERT_TRUE(p.ok());
   const AttributePrediction* basket = p->Find("Basket");
   ASSERT_NE(basket, nullptr);
@@ -151,7 +151,7 @@ TEST(AssociationTest, PopularityFallbackWhenNoRuleApplies) {
   ASSERT_TRUE(model.ok());
   // With confidence floor 0.99 only ham=>beer survives; an empty basket gets
   // popularity-ranked suggestions anyway.
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{}}), {});
+  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{}}));
   const AttributePrediction* basket = p->Find("Basket");
   ASSERT_FALSE(basket->histogram.empty());
   EXPECT_TRUE(basket->predicted.Equals(Value::Text("beer")));  // most popular

@@ -53,8 +53,8 @@ TEST(ClusteringTest, RecoversSeparatedBlobs) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}), {});
-  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}), {});
+  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}));
+  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}));
   ASSERT_TRUE(p0.ok());
   ASSERT_TRUE(p20.ok());
   const AttributePrediction* c0 = p0->Find(kClusterTarget);
@@ -108,8 +108,8 @@ TEST(ClusteringTest, KMeansAlsoSeparates) {
       Params(service, {{"CLUSTER_COUNT", Value::Long(2)},
                        {"CLUSTER_METHOD", Value::Text("KMEANS")}}));
   ASSERT_TRUE(model.ok());
-  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}), {});
-  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}), {});
+  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}));
+  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}));
   EXPECT_NE(p0->Find(kClusterTarget)->cluster_id,
             p20->Find(kClusterTarget)->cluster_id);
   // Hard assignments: every case weight lands in one cluster.
@@ -138,7 +138,7 @@ TEST(ClusteringTest, PredictsTargetsThroughTheMixture) {
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok());
   auto p = (*model)->Predict(attrs,
-                             MakeCase(attrs, {20, 20, kMissing}), {});
+                             MakeCase(attrs, {20, 20, kMissing}));
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(p->Find("Label")->predicted.Equals(Value::Text("far")));
   EXPECT_GT(p->Find("Label")->probability, 0.8);
@@ -157,7 +157,7 @@ TEST(ClusteringTest, PredictsTargetsThroughTheMixture) {
                               Params(service, {{"CLUSTER_COUNT",
                                                 Value::Long(2)}}));
   ASSERT_TRUE(model2.ok());
-  auto py = (*model2)->Predict(attrs2, MakeCase(attrs2, {20, kMissing}), {});
+  auto py = (*model2)->Predict(attrs2, MakeCase(attrs2, {20, kMissing}));
   EXPECT_NEAR(py->Find("Y")->predicted.double_value(), 50, 3);
 }
 
@@ -192,8 +192,8 @@ TEST(ClusteringTest, ItemGroupsShapeClusters) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok());
-  auto beer = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}), {});
-  auto seeds = (*model)->Predict(attrs, MakeCase(attrs, {}, {{1}}), {});
+  auto beer = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}));
+  auto seeds = (*model)->Predict(attrs, MakeCase(attrs, {}, {{1}}));
   EXPECT_NE(beer->Find(kClusterTarget)->cluster_id,
             seeds->Find(kClusterTarget)->cluster_id);
 }
@@ -265,7 +265,7 @@ TEST_P(ClusteringSeedSweep, HighPurityOnSeparatedData) {
   ASSERT_TRUE(model.ok());
   std::map<std::pair<int, int>, int> crosstab;
   for (size_t i = 0; i < cases.size(); ++i) {
-    auto p = (*model)->Predict(attrs, cases[i], {});
+    auto p = (*model)->Predict(attrs, cases[i]);
     crosstab[{p->Find(kClusterTarget)->cluster_id, truth[i]}]++;
   }
   int agree = 0;

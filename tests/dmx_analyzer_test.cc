@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -38,6 +39,9 @@ struct DefinitionCase {
   /// token). Null skips the span assertion.
   const char* span_token;
 };
+
+// Names the case in its ctest name (see PrintTo in tokenizer_test.cc).
+void PrintTo(const DefinitionCase& c, std::ostream* os) { *os << c.test_name; }
 
 const DefinitionCase kDefinitionCases[] = {
     {"NoKey",

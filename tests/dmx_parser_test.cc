@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/sql_parser.h"
+
 namespace dmx {
 namespace {
 
@@ -45,6 +47,40 @@ TEST(DmxClassifierTest, DmxIsRecognized) {
   auto del = MustParse("DELETE FROM m");
   EXPECT_FALSE(del.is_sql);
   EXPECT_TRUE(std::holds_alternative<DeleteFromModelStatement>(*del.statement));
+}
+
+TEST(DmxClassifierTest, SqlIsParsedOnceFromTheSameTokens) {
+  auto select = MustParse("SELECT a FROM t WHERE b = 1;");
+  ASSERT_TRUE(select.sql.has_value());
+  EXPECT_FALSE(select.statement.has_value());
+  const auto* parsed = std::get_if<rel::SelectStatement>(&*select.sql);
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_NE(parsed->where, nullptr);
+  EXPECT_EQ(parsed->where->ToString(), "(b = 1)");
+  EXPECT_FALSE(MustParse("DROP MINING MODEL m").sql.has_value());
+
+  // Malformed SQL fails in ParseDmx with the SQL parser's own status.
+  for (const char* bad : {"SELECT", "DELETE FROM x WHERE",
+                          "SELECT a FROM t u v", "CREATE TABLE", "DELETE",
+                          "FOO BAR"}) {
+    auto dmx = ParseDmx(bad);
+    auto sql = rel::ParseSql(bad);
+    ASSERT_FALSE(dmx.ok()) << bad;
+    ASSERT_FALSE(sql.ok()) << bad;
+    EXPECT_EQ(dmx.status().code(), sql.status().code()) << bad;
+    EXPECT_EQ(dmx.status().message(), sql.status().message()) << bad;
+  }
+}
+
+TEST(DmxClassifierTest, BareDeleteTakesOnlyOneStatement) {
+  // "DELETE FROM m;" is a model-or-table delete; anything after the ';' is
+  // trailing input, as it is for every other statement.
+  EXPECT_FALSE(MustParse("DELETE FROM m;").is_sql);
+  auto trailing = ParseDmx("DELETE FROM m; DROP TABLE t");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_NE(trailing.status().message().find("unexpected trailing input"),
+            std::string::npos)
+      << trailing.status().ToString();
 }
 
 TEST(CreateModelTest, ParsesThePaperExample) {

@@ -126,7 +126,7 @@ TEST_F(MiningModelTest, PredictBeforeTrainingFails) {
   DataCase c;
   c.values.assign(model->attributes().attributes.size(), kMissing);
   c.groups.resize(model->attributes().groups.size());
-  auto p = model->Predict(c, {});
+  auto p = model->Predict(c);
   EXPECT_TRUE(p.status().IsInvalidState());
   EXPECT_TRUE(model->BuildContent().status().IsInvalidState());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 namespace dmx {
 namespace {
@@ -126,6 +127,11 @@ struct BadLexCase {
   const char* message_contains;  ///< Must appear in the ParseError message.
   const char* offset_token;      ///< "offset <N>" expected in the message.
 };
+
+// gtest prints a parameter into its test's ctest name; without this it
+// dumps the struct's bytes, pointers included, and the name changes run to
+// run with address-space randomization.
+void PrintTo(const BadLexCase& c, std::ostream* os) { *os << c.name; }
 
 class TokenizerBadInputTest : public ::testing::TestWithParam<BadLexCase> {};
 
