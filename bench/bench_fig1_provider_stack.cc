@@ -117,8 +117,8 @@ BENCHMARK(BM_BrowseLayer_Content);
 
 void BM_SchemaRowset_Services(benchmark::State& state) {
   for (auto _ : state) {
-    auto result =
-        stack->conn->GetSchemaRowset(SchemaRowsetKind::kMiningServices);
+    Rowset result = bench::MustExecute(
+        stack->conn.get(), "SELECT * FROM $system.DMSCHEMA_MINING_SERVICES");
     benchmark::DoNotOptimize(result);
   }
 }

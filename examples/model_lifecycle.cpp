@@ -79,8 +79,11 @@ int main() {
     ) USING Naive_Bayes(ALPHA = 1.0)
   )");
   Run(conn.get(), InsertFrom("Customers", "Sales"));
-  auto models = conn->GetSchemaRowset(dmx::SchemaRowsetKind::kMiningModels);
-  std::cout << "  trained on " << models->Get(0, "CASE_COUNT")->ToString()
+  const std::string kCaseCount =
+      "SELECT CASE_COUNT FROM $system.DMSCHEMA_MINING_MODELS "
+      "WHERE MODEL_NAME = 'Loyalty Model'";
+  dmx::Rowset models = Run(conn.get(), kCaseCount);
+  std::cout << "  trained on " << models.Get(0, "CASE_COUNT")->ToString()
             << " cases\n";
 
   std::cout << "== 2. Refresh with a new month of data ==\n";
@@ -93,8 +96,8 @@ int main() {
   fresh.cars_table = "NewCars";
   Check(dmx::datagen::PopulateWarehouse(dev.database(), fresh));
   Run(conn.get(), InsertFrom("NewCustomers", "NewSales"));
-  models = conn->GetSchemaRowset(dmx::SchemaRowsetKind::kMiningModels);
-  std::cout << "  after refresh: " << models->Get(0, "CASE_COUNT")->ToString()
+  models = Run(conn.get(), kCaseCount);
+  std::cout << "  after refresh: " << models.Get(0, "CASE_COUNT")->ToString()
             << " cases (no retraining: Naive_Bayes is incremental)\n";
 
   std::cout << "== 3. Persist to PMML-style XML ==\n";
@@ -135,15 +138,17 @@ int main() {
   std::cout << predictions.ToString() << "\n";
 
   std::cout << "== 5. Provider self-description (schema rowsets) ==\n";
-  auto services =
-      prod_conn->GetSchemaRowset(dmx::SchemaRowsetKind::kMiningServices);
+  dmx::Rowset services = Run(prod_conn.get(), R"(
+    SELECT SERVICE_NAME, INCREMENTAL_MAINTENANCE
+    FROM $system.DMSCHEMA_MINING_SERVICES)");
   std::cout << "  installed services:\n";
-  for (const dmx::Row& row : services->rows()) {
+  for (const dmx::Row& row : services.rows()) {
     std::cout << "    " << row[0].ToString()
-              << (row[6].bool_value() ? "  [incremental]" : "") << "\n";
+              << (row[1].bool_value() ? "  [incremental]" : "") << "\n";
   }
-  auto columns = prod_conn->GetSchemaRowset(
-      dmx::SchemaRowsetKind::kMiningColumns, "Loyalty Model");
-  std::cout << "  deployed model columns: " << columns->num_rows() << "\n";
+  dmx::Rowset columns = Run(prod_conn.get(), R"(
+    SELECT COLUMN_NAME FROM $system.DMSCHEMA_MINING_COLUMNS
+    WHERE MODEL_NAME = 'Loyalty Model')");
+  std::cout << "  deployed model columns: " << columns.num_rows() << "\n";
   return 0;
 }

@@ -81,8 +81,11 @@ int main() {
        ORDER BY [CustID]}
       RELATE [Customer ID] TO [CustID]) AS [Product Purchases]
   )");
-  auto models = conn->GetSchemaRowset(dmx::SchemaRowsetKind::kMiningModels);
-  std::cout << models->ToString() << "\n";
+  dmx::Rowset models = Run(conn.get(), R"(
+    SELECT MODEL_NAME, SERVICE_NAME, IS_POPULATED, CASE_COUNT,
+           PREDICTION_COLUMNS
+    FROM $system.DMSCHEMA_MINING_MODELS)");
+  std::cout << models.ToString() << "\n";
 
   std::cout << "== 3. Predict ages for unseen customers ==\n";
   dmx::Rowset predictions = Run(conn.get(), R"(

@@ -32,6 +32,29 @@ const std::vector<std::string>& Columns() {
   return kColumns;
 }
 
+// The provider's read-only tables (schema rowsets; `<model>.CONTENT` is
+// drawn from Models()), one misspelt on purpose, and columns they carry.
+const std::vector<std::string>& SystemTables() {
+  static const std::vector<std::string> kSystemTables = {
+      "$system.DMSCHEMA_MINING_SERVICES",
+      "$system.DMSCHEMA_MINING_SERVICE_PARAMETERS",
+      "$system.DMSCHEMA_MINING_MODELS",
+      "$system.DMSCHEMA_MINING_COLUMNS",
+      "$system.DMSCHEMA_MINING_MODEL_CONTENT",
+      "$system.DMSCHEMA_MINING_FUNCTIONS",
+      "$system.DMSCHEMA_MINING_NOTHING"};
+  return kSystemTables;
+}
+
+const std::vector<std::string>& SystemColumns() {
+  static const std::vector<std::string> kSystemColumns = {
+      "MODEL_NAME",    "SERVICE_NAME", "IS_POPULATED",  "CASE_COUNT",
+      "COLUMN_NAME",   "USAGE",        "PARAMETER_NAME", "FUNCTION_NAME",
+      "NODE_TYPE",     "NODE_SUPPORT", "NODE_UNIQUE_NAME",
+      "NODE_DISTRIBUTION"};
+  return kSystemColumns;
+}
+
 const std::vector<std::string>& Services() {
   static const std::vector<std::string> kServices = {
       "Clustering",        "Naive_Bayes",       "Decision_Trees",
@@ -247,6 +270,41 @@ std::string SqlSelect(Rng& rng) {
   return stmt;
 }
 
+// A read of a schema rowset or a model's content (aliased `s`): projection,
+// TOP, WHERE, ORDER BY and a JOIN against a user table (aliased `u`).
+std::string SystemSelect(Rng& rng) {
+  auto column = [&] {
+    return "s." + (rng.Chance(85) ? rng.Pick(SystemColumns()) : ColumnName(rng));
+  };
+  std::string stmt = "SELECT ";
+  if (rng.Chance(15)) stmt += "TOP " + std::to_string(rng.Below(5)) + " ";
+  if (rng.Chance(40)) {
+    stmt += "*";
+  } else {
+    stmt += column();
+    if (rng.Chance(50)) stmt += ", " + column();
+  }
+  stmt += " FROM " +
+          (rng.Chance(35) ? "[" + ModelName(rng) + "].CONTENT"
+                          : rng.Pick(SystemTables())) +
+          " AS s";
+  if (rng.Chance(25)) {
+    stmt += " INNER JOIN " + TableName(rng) + " AS u ON " + column() +
+            " = u." + ColumnName(rng);
+  }
+  if (rng.Chance(50)) {
+    static const std::vector<std::string> kOps = {"=",  "<>", "<",
+                                                  "<=", ">",  ">="};
+    stmt += " WHERE " + column() + " " + rng.Pick(kOps) + " " +
+            RandomLiteral(rng);
+  }
+  if (rng.Chance(30)) {
+    stmt += " ORDER BY " + column();
+    if (rng.Chance(40)) stmt += " DESC";
+  }
+  return stmt;
+}
+
 // One SHAPE side: SELECT <list> FROM <table>, with an optional WHERE (often
 // a key range on People) and an optional ORDER BY on the relate column `key`
 // or on any column, either way.
@@ -440,7 +498,8 @@ std::string GenerateStatement(Rng& rng) {
     case 5:
       return PredictionJoin(rng);
     case 6:
-      return "SELECT * FROM [" + ModelName(rng) + "].CONTENT";
+      return rng.Chance(30) ? "SELECT * FROM [" + ModelName(rng) + "].CONTENT"
+                            : SystemSelect(rng);
     case 7:
       return "DROP MINING MODEL [" + ModelName(rng) + "]";
     case 8:

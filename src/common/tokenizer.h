@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/source_span.h"
 #include "common/status.h"
 #include "common/string_util.h"
 
@@ -42,6 +43,16 @@ struct Token {
     return kind == TokenKind::kPunct && text == p;
   }
   bool IsEnd() const { return kind == TokenKind::kEnd; }
+
+  /// Source range of the token (re-adds the quoting stripped by the lexer).
+  SourceSpan span() const {
+    size_t length = text.size();
+    if (kind == TokenKind::kString ||
+        (kind == TokenKind::kIdentifier && quoted)) {
+      length += 2;
+    }
+    return SourceSpan{offset, length == 0 ? 1 : length};
+  }
 };
 
 /// Lexes a full command string. Fails on unterminated strings/brackets and

@@ -4,6 +4,7 @@
 
 #include "core/catalog.h"
 #include "core/dmx_parser.h"
+#include "core/schema_rowsets.h"
 #include "relational/database.h"
 
 namespace dmx {
@@ -325,8 +326,8 @@ const MiningModel* ResolveModel(const AnalyzerContext& context,
   if (!model.ok()) {
     diags->Error(rules::kUnknownModel, span,
                  "mining model '" + name + "' does not exist")
-        .fix_hint = "CREATE MINING MODEL it first (\\models lists the "
-                    "catalog)";
+        .fix_hint = "CREATE MINING MODEL it first "
+                    "($system.DMSCHEMA_MINING_MODELS lists the catalog)";
     return nullptr;
   }
   return *model;
@@ -594,7 +595,8 @@ AnalysisReport DmxAnalyzer::AnalyzeDefinition(const ModelDefinition& def) const 
       !context_.services->Find(def.service_name).ok()) {
     diags.Error(rules::kUnknownService, def.service_span,
                 "unknown mining service '" + def.service_name + "'")
-        .fix_hint = "\\services lists the installed services";
+        .fix_hint = "$system.DMSCHEMA_MINING_SERVICES lists the installed "
+                    "services";
   }
   return report;
 }
@@ -611,9 +613,6 @@ AnalysisReport DmxAnalyzer::AnalyzeStatement(const DmxStatement& statement) cons
   } else if (const auto* join =
                  std::get_if<PredictionJoinStatement>(&statement)) {
     return AnalyzePredictionJoin(*join);
-  } else if (const auto* content =
-                 std::get_if<SelectContentStatement>(&statement)) {
-    ResolveModel(context_, content->model_name, content->model_span, &diags);
   } else if (const auto* drop = std::get_if<DropModelStatement>(&statement)) {
     ResolveModel(context_, drop->model_name, drop->model_span, &diags);
   } else if (const auto* del =
@@ -657,8 +656,22 @@ AnalysisReport DmxAnalyzer::AnalyzeText(const std::string& text) const {
     return report;
   }
   // Plain SQL: ParseDmx already parsed it, and the relational binder owns
-  // its semantic diagnostics.
-  if (parsed->is_sql) return report;
+  // its semantic diagnostics. A `<model>.CONTENT` table still names a model.
+  if (parsed->is_sql) {
+    const auto* select = std::get_if<rel::SelectStatement>(&*parsed->sql);
+    if (select == nullptr) return report;
+    Diagnostics diags(&report.diagnostics);
+    auto check = [&](const rel::TableRef& ref) {
+      std::optional<std::string> model = ContentModelName(ref.table);
+      if (model.has_value() && (context_.database == nullptr ||
+                                !context_.database->HasTable(ref.table))) {
+        ResolveModel(context_, *model, ref.span, &diags);
+      }
+    };
+    check(select->from);
+    for (const rel::JoinClause& join : select->joins) check(join.table);
+    return report;
+  }
   return AnalyzeStatement(*parsed->statement);
 }
 

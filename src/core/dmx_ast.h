@@ -4,9 +4,11 @@
 //   INSERT INTO <model> [(<column list>)] <source>
 //   SELECT [FLATTENED] [TOP n] <items> FROM <model>
 //       [NATURAL] PREDICTION JOIN <source> [AS alias] [ON <path> = <path> ...]
-//   SELECT * FROM <model>.CONTENT
 //   DELETE FROM <model>
 //   DROP MINING MODEL <model>
+//
+// Model content is read with SQL (SELECT ... FROM <model>.CONTENT), as a
+// table of the relational engine (core/schema_rowsets.h).
 //
 // <source> is a SHAPE statement, an embedded SELECT (optionally braced), or
 // OPENROWSET('CSV', '<path>') — the OLE DB escape hatch for external data.
@@ -119,14 +121,6 @@ struct PredictionJoinStatement {
   std::vector<DmxFilter> where;  ///< Conjunction; empty = no filter.
 };
 
-struct SelectContentStatement {
-  std::string model_name;
-  SourceSpan model_span;
-  /// Optional WHERE over the content rowset's columns
-  /// (e.g. NODE_TYPE = 'Rule' AND NODE_SUPPORT > 100). May be null.
-  rel::ExprPtr where;
-};
-
 /// DELETE FROM <name>: resolved against the model catalog first, falling
 /// back to the relational engine when <name> is a table.
 struct DeleteFromModelStatement {
@@ -154,8 +148,7 @@ struct ImportModelStatement {
 
 using DmxStatement =
     std::variant<CreateModelStatement, InsertIntoStatement,
-                 PredictionJoinStatement, SelectContentStatement,
-                 DeleteFromModelStatement, DropModelStatement,
+                 PredictionJoinStatement, DeleteFromModelStatement, DropModelStatement,
                  ExportModelStatement, ImportModelStatement>;
 
 }  // namespace dmx

@@ -8,16 +8,6 @@ namespace dmx {
 
 namespace {
 
-/// Source range of one token (re-adds the quoting stripped by the lexer).
-SourceSpan TokenSpan(const Token& t) {
-  size_t length = t.text.size();
-  if (t.kind == TokenKind::kString ||
-      (t.kind == TokenKind::kIdentifier && t.quoted)) {
-    length += 2;
-  }
-  return SourceSpan{t.offset, length == 0 ? 1 : length};
-}
-
 // ---------------------------------------------------------------------------
 // CREATE MINING MODEL
 // ---------------------------------------------------------------------------
@@ -169,7 +159,7 @@ Status ParseColumnModifiers(TokenStream* tokens, ModelColumn* col) {
 Result<ModelColumn> ParseScalarOrTableColumn(TokenStream* tokens,
                                              bool top_level) {
   ModelColumn col;
-  col.span = TokenSpan(tokens->Peek());
+  col.span = tokens->Peek().span();
   DMX_ASSIGN_OR_RETURN(col.name, tokens->ExpectIdentifier("column name"));
   if (tokens->Peek().IsKeyword("TABLE")) {
     if (!top_level) {
@@ -198,11 +188,11 @@ Result<ModelColumn> ParseScalarOrTableColumn(TokenStream* tokens,
 Result<ModelDefinition> ParseCreateFrom(TokenStream* tokens) {
   // "CREATE MINING MODEL" already consumed.
   ModelDefinition def;
-  def.name_span = TokenSpan(tokens->Peek());
+  def.name_span = tokens->Peek().span();
   DMX_ASSIGN_OR_RETURN(def.model_name, tokens->ExpectIdentifier("model name"));
   DMX_ASSIGN_OR_RETURN(def.columns, ParseColumnList(tokens, /*top_level=*/true));
   DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("USING"));
-  def.service_span = TokenSpan(tokens->Peek());
+  def.service_span = tokens->Peek().span();
   DMX_ASSIGN_OR_RETURN(def.service_name,
                        tokens->ExpectIdentifier("mining service name"));
   if (tokens->MatchPunct("(")) {
@@ -281,12 +271,12 @@ Result<CasesetSource> ParseSource(TokenStream* tokens) {
 Result<InsertIntoStatement> ParseInsertInto(TokenStream* tokens) {
   // "INSERT INTO" consumed.
   InsertIntoStatement stmt;
-  stmt.model_span = TokenSpan(tokens->Peek());
+  stmt.model_span = tokens->Peek().span();
   DMX_ASSIGN_OR_RETURN(stmt.model_name, tokens->ExpectIdentifier("model name"));
   if (tokens->MatchPunct("(")) {
     while (true) {
       InsertColumn col;
-      col.span = TokenSpan(tokens->Peek());
+      col.span = tokens->Peek().span();
       DMX_ASSIGN_OR_RETURN(col.name, tokens->ExpectIdentifier("column name"));
       if (tokens->MatchPunct("(")) {
         col.is_table = true;
@@ -320,7 +310,7 @@ Result<DmxExpr> ParseDmxExpr(TokenStream* tokens) {
   TokenStream::RecursionScope depth(tokens);
   DMX_RETURN_IF_ERROR(depth.Check());
   DmxExpr expr;
-  expr.span = TokenSpan(tokens->Peek());
+  expr.span = tokens->Peek().span();
   // Negative numeric literals.
   if (tokens->Peek().IsPunct("-") &&
       (tokens->Peek(1).kind == TokenKind::kLong ||
@@ -403,7 +393,7 @@ Result<std::vector<std::string>> ParsePath(TokenStream* tokens) {
 }
 
 // ---------------------------------------------------------------------------
-// SELECT ... PREDICTION JOIN / SELECT * FROM model.CONTENT
+// SELECT ... PREDICTION JOIN
 // ---------------------------------------------------------------------------
 
 Result<DmxStatement> ParseDmxSelect(TokenStream* tokens) {
@@ -418,48 +408,26 @@ Result<DmxStatement> ParseDmxSelect(TokenStream* tokens) {
     stmt.top = n.long_value;
     tokens->Next();
   }
-  bool star = false;
-  if (tokens->MatchPunct("*")) {
-    star = true;
-  } else {
-    while (true) {
-      DmxSelectItem item;
-      DMX_ASSIGN_OR_RETURN(item.expr, ParseDmxExpr(tokens));
-      if (tokens->MatchKeyword("AS")) {
-        DMX_ASSIGN_OR_RETURN(item.alias,
-                             tokens->ExpectIdentifier("column alias"));
-      }
-      stmt.items.push_back(std::move(item));
-      if (tokens->MatchPunct(",")) {
-        if (tokens->Peek().IsKeyword("FROM")) break;  // tolerate trailing ','
-        continue;
-      }
-      break;
-    }
-  }
-  DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("FROM"));
-  stmt.model_span = TokenSpan(tokens->Peek());
-  DMX_ASSIGN_OR_RETURN(stmt.model_name, tokens->ExpectIdentifier("model name"));
-
-  // SELECT * FROM <model>.CONTENT
-  if (tokens->MatchPunct(".")) {
-    DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("CONTENT"));
-    if (!star) {
-      return tokens->ErrorHere(
-          "only 'SELECT * FROM <model>.CONTENT' is supported for content "
-          "browsing");
-    }
-    SelectContentStatement content;
-    content.model_name = stmt.model_name;
-    content.model_span = stmt.model_span;
-    if (tokens->MatchKeyword("WHERE")) {
-      DMX_ASSIGN_OR_RETURN(content.where, rel::ParseExpression(tokens));
-    }
-    return DmxStatement(std::move(content));
-  }
-  if (star) {
+  if (tokens->Peek().IsPunct("*")) {
     return tokens->ErrorHere("prediction queries need an explicit SELECT list");
   }
+  while (true) {
+    DmxSelectItem item;
+    DMX_ASSIGN_OR_RETURN(item.expr, ParseDmxExpr(tokens));
+    if (tokens->MatchKeyword("AS")) {
+      DMX_ASSIGN_OR_RETURN(item.alias,
+                           tokens->ExpectIdentifier("column alias"));
+    }
+    stmt.items.push_back(std::move(item));
+    if (tokens->MatchPunct(",")) {
+      if (tokens->Peek().IsKeyword("FROM")) break;  // tolerate trailing ','
+      continue;
+    }
+    break;
+  }
+  DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("FROM"));
+  stmt.model_span = tokens->Peek().span();
+  DMX_ASSIGN_OR_RETURN(stmt.model_name, tokens->ExpectIdentifier("model name"));
 
   stmt.natural = tokens->MatchKeyword("NATURAL");
   DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("PREDICTION"));
@@ -468,12 +436,12 @@ Result<DmxStatement> ParseDmxSelect(TokenStream* tokens) {
   DMX_ASSIGN_OR_RETURN(stmt.source, ParseSource(tokens));
   DMX_RETURN_IF_ERROR(tokens->ExpectPunct(")"));
   if (tokens->MatchKeyword("AS")) {
-    stmt.alias_span = TokenSpan(tokens->Peek());
+    stmt.alias_span = tokens->Peek().span();
     DMX_ASSIGN_OR_RETURN(stmt.source_alias,
                          tokens->ExpectIdentifier("source alias"));
   } else if (tokens->Peek().kind == TokenKind::kIdentifier &&
              !tokens->Peek().IsKeyword("ON")) {
-    stmt.alias_span = TokenSpan(tokens->Peek());
+    stmt.alias_span = tokens->Peek().span();
     stmt.source_alias = tokens->Next().text;
   }
   if (tokens->MatchKeyword("ON")) {
@@ -519,14 +487,11 @@ Result<DmxStatement> ParseDmxSelect(TokenStream* tokens) {
 // Classification
 // ---------------------------------------------------------------------------
 
-// Scans the token vector to decide whether a SELECT is DMX (prediction join
-// or content browse) rather than plain SQL.
+// Scans the token vector to decide whether a SELECT is a DMX prediction
+// join rather than plain SQL (model content is read with SQL).
 bool SelectLooksLikeDmx(const std::vector<Token>& tokens) {
   for (size_t i = 0; i + 1 < tokens.size(); ++i) {
     if (tokens[i].IsKeyword("PREDICTION") && tokens[i + 1].IsKeyword("JOIN")) {
-      return true;
-    }
-    if (tokens[i].IsPunct(".") && tokens[i + 1].IsKeyword("CONTENT")) {
       return true;
     }
   }
@@ -614,13 +579,13 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
     result.statement = std::move(stmt);
   } else if (tokens.MatchKeywords({"DROP", "MINING", "MODEL"})) {
     DropModelStatement stmt;
-    stmt.model_span = TokenSpan(tokens.Peek());
+    stmt.model_span = tokens.Peek().span();
     DMX_ASSIGN_OR_RETURN(stmt.model_name,
                          tokens.ExpectIdentifier("model name"));
     result.statement = std::move(stmt);
   } else if (tokens.MatchKeywords({"EXPORT", "MINING", "MODEL"})) {
     ExportModelStatement stmt;
-    stmt.model_span = TokenSpan(tokens.Peek());
+    stmt.model_span = tokens.Peek().span();
     DMX_ASSIGN_OR_RETURN(stmt.model_name,
                          tokens.ExpectIdentifier("model name"));
     DMX_RETURN_IF_ERROR(tokens.ExpectKeyword("TO"));
@@ -641,7 +606,7 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
     // DELETE FROM <name>: the only other shape IsSqlCommand leaves to DMX.
     tokens.MatchKeywords({"DELETE", "FROM"});
     DeleteFromModelStatement stmt;
-    stmt.model_span = TokenSpan(tokens.Peek());
+    stmt.model_span = tokens.Peek().span();
     stmt.model_name = tokens.Next().text;
     result.statement = std::move(stmt);
   }

@@ -11,6 +11,7 @@
 #include "common/mutex.h"
 #include "core/caseset_source.h"
 #include "core/prediction_join.h"
+#include "core/schema_rowsets.h"
 #include "pmml/pmml.h"
 #include "relational/sql_executor.h"
 #include "store/log_format.h"
@@ -113,56 +114,27 @@ class Provider::CatalogStoreClient : public store::StoreClient {
         "re-executing recovered statement");
   }
 
-  Status ApplyModelBlob(const std::string& name,
-                        const std::string& pmml) override {
-    provider_->catalog_mu_.AssertHeld();
-    DMX_ASSIGN_OR_RETURN(std::unique_ptr<MiningModel> model,
-                         DeserializeModel(pmml, provider_->services_));
-    // The store is authoritative: replace any same-named in-memory model.
-    if (provider_->models_.HasModel(name)) {
-      DMX_RETURN_IF_ERROR(provider_->models_.DropModel(name));
-    }
-    return provider_->models_.AdoptModel(std::move(model));
-  }
-
-  Status ApplyTableSnapshot(const store::StoreRecord& record) override {
-    provider_->catalog_mu_.AssertHeld();
-    DMX_ASSIGN_OR_RETURN(std::shared_ptr<const Schema> schema,
-                         DecodeSchema(record.meta));
-    DMX_ASSIGN_OR_RETURN(Rowset rowset,
-                         rel::ParseCsvString(record.data, schema));
-    rel::Database* db = &provider_->database_;
-    if (db->HasTable(record.name)) {
-      DMX_RETURN_IF_ERROR(db->DropTable(record.name));
-    }
-    DMX_ASSIGN_OR_RETURN(rel::Table * table,
-                         db->CreateTable(record.name, std::move(schema)));
-    return table->InsertAll(std::move(rowset.mutable_rows()));
-  }
-
   // --- parallel-recovery seam: Prepare* run on the store's recovery worker
-  // threads while the OpenStore/Repair thread owns the catalog lock
-  // exclusively and blocks joining the pool. Reading the (unchanging,
-  // lock-protected-by-the-parked-owner) service registry is therefore safe,
-  // but neither the static analysis nor AssertHeld's per-thread ownership
-  // check can see that cross-thread ownership — hence the suppression.
+  // threads while the OpenStore thread owns the catalog lock exclusively
+  // and blocks joining the pool (Repair calls them on its own thread).
+  // Reading the (unchanging, lock-protected-by-the-parked-owner) service
+  // registry is therefore safe, but neither the static analysis nor
+  // AssertHeld's per-thread ownership check can see that cross-thread
+  // ownership — hence the suppression.
 
-  Result<store::PreparedObject> PrepareModelBlob(const std::string& name,
-                                                 const std::string& pmml)
+  Result<store::PreparedObject> PrepareModelBlob(const std::string& pmml)
       override DMX_NO_THREAD_SAFETY_ANALYSIS {
-    (void)name;
     auto holder = std::make_shared<PreparedModel>();
     DMX_ASSIGN_OR_RETURN(holder->model,
                          DeserializeModel(pmml, provider_->services_));
     return store::PreparedObject(std::move(holder));
   }
 
-  Status ApplyPreparedModel(const std::string& name, const std::string& pmml,
+  Status ApplyPreparedModel(const std::string& name,
                             const store::PreparedObject& prepared) override {
-    if (prepared == nullptr) return ApplyModelBlob(name, pmml);
     provider_->catalog_mu_.AssertHeld();
     auto* holder = static_cast<PreparedModel*>(prepared.get());
-    if (holder->model == nullptr) return ApplyModelBlob(name, pmml);
+    // The store is authoritative: replace any same-named in-memory model.
     if (provider_->models_.HasModel(name)) {
       DMX_RETURN_IF_ERROR(provider_->models_.DropModel(name));
     }
@@ -181,7 +153,6 @@ class Provider::CatalogStoreClient : public store::StoreClient {
 
   Status ApplyPreparedTable(const store::StoreRecord& record,
                             const store::PreparedObject& prepared) override {
-    if (prepared == nullptr) return ApplyTableSnapshot(record);
     provider_->catalog_mu_.AssertHeld();
     auto* holder = static_cast<PreparedTable*>(prepared.get());
     rel::Database* db = &provider_->database_;
@@ -231,7 +202,20 @@ class Provider::CatalogStoreClient : public store::StoreClient {
   Provider* provider_;
 };
 
-Provider::Provider() {
+// The database reads the provider's schema rowsets and model content as
+// read-only tables through this resolver. Only SELECTs reach it, under the
+// shared catalog lock or the exclusive one of a statement that reads them.
+// A degraded model's content answers kUnavailable, naming its quarantined
+// shard, before the name is resolved (see CheckModelServable).
+Provider::Provider()
+    : database_([this](const std::string& name)
+                    -> Result<std::unique_ptr<rel::Table>> {
+        catalog_mu_.AssertReaderHeld();
+        if (std::optional<std::string> model = ContentModelName(name)) {
+          DMX_RETURN_IF_ERROR(CheckModelServable(*model));
+        }
+        return BuildSystemTable(name, services_, models_);
+      }) {
   Status status = RegisterBuiltinServices(&services_);
   assert(status.ok());
   (void)status;
@@ -389,7 +373,6 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
   } else {
     const DmxStatement& statement = *parsed->statement;
     read_only = std::holds_alternative<PredictionJoinStatement>(statement) ||
-                std::holds_alternative<SelectContentStatement>(statement) ||
                 std::holds_alternative<ExportModelStatement>(statement);
   }
 
@@ -503,9 +486,6 @@ Result<Rowset> Connection::DispatchRead(DmxParseResult& parsed,
     const std::string* target = nullptr;
     if (auto* join = std::get_if<PredictionJoinStatement>(&statement)) {
       target = &join->model_name;
-    } else if (auto* content =
-                   std::get_if<SelectContentStatement>(&statement)) {
-      target = &content->model_name;
     } else if (auto* export_stmt =
                    std::get_if<ExportModelStatement>(&statement)) {
       target = &export_stmt->model_name;
@@ -524,26 +504,6 @@ Result<Rowset> Connection::DispatchRead(DmxParseResult& parsed,
                                          join->model_name + "'");
     }
     return rowset;
-  }
-  if (auto* content = std::get_if<SelectContentStatement>(&statement)) {
-    DMX_ASSIGN_OR_RETURN(const MiningModel* model,
-                         provider_->models_.GetModel(content->model_name));
-    DMX_ASSIGN_OR_RETURN(Rowset rowset, GetContentRowset(*model));
-    if (content->where == nullptr) return rowset;
-    // Filter in place over the content rowset's own columns.
-    rel::Scope scope;
-    scope.AddRange("CONTENT", *rowset.schema(), 0);
-    DMX_RETURN_IF_ERROR(rel::BindExpr(content->where.get(), scope));
-    Rowset filtered(rowset.schema());
-    // dmx-hot-begin(content-filter)
-    for (Row& row : rowset.mutable_rows()) {
-      DMX_RETURN_IF_ERROR(GuardCheck());
-      DMX_ASSIGN_OR_RETURN(bool keep,
-                           rel::EvalPredicate(*content->where, row));
-      if (keep) DMX_RETURN_IF_ERROR(filtered.Append(std::move(row)));
-    }
-    // dmx-hot-end(content-filter)
-    return filtered;
   }
   if (auto* export_stmt = std::get_if<ExportModelStatement>(&statement)) {
     DMX_ASSIGN_OR_RETURN(
@@ -728,14 +688,6 @@ Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
 Status Connection::JournalLocked(const std::string& command) {
   if (internal_) return Status::OK();
   return provider_->JournalStatementLocked(command);
-}
-
-Result<Rowset> Connection::GetSchemaRowset(SchemaRowsetKind kind,
-                                           const std::string& model_filter)
-    const {
-  ReaderMutexLock lock(&provider_->catalog_mu_);
-  return dmx::GetSchemaRowset(kind, provider_->services_, provider_->models_,
-                              model_filter);
 }
 
 }  // namespace dmx

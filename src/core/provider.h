@@ -38,7 +38,6 @@
 #include "core/admission.h"
 #include "core/catalog.h"
 #include "core/dmx_parser.h"
-#include "core/schema_rowsets.h"
 #include "model/service_registry.h"
 #include "relational/database.h"
 #include "relational/sql_ast.h"
@@ -165,7 +164,7 @@ class Provider {
   Status CheckStoreWritable() const DMX_REQUIRES_SHARED(catalog_mu_);
 
   /// Catalog-level lock: DDL/DML and store maintenance take it exclusively,
-  /// SELECT / PREDICTION JOIN / schema rowsets take it shared. Timed so
+  /// SELECT (schema rowsets included) and PREDICTION JOIN take it shared. Timed so
   /// writers blocked behind long readers can honour their deadline.
   mutable SharedMutex catalog_mu_{"provider.catalog_mu"};
   AdmissionController admission_;  // Internally synchronized.
@@ -201,11 +200,6 @@ class Connection {
   /// one guard (deadline + cancel token) spans admission, execution *and*
   /// the response streaming that follows. `limits_` is ignored.
   Result<Rowset> ExecuteGuarded(const std::string& command, ExecGuard* guard);
-
-  /// Provider self-description (paper §3's schema rowsets). Takes the
-  /// catalog lock shared, like any other read.
-  Result<Rowset> GetSchemaRowset(SchemaRowsetKind kind,
-                                 const std::string& model_filter = "") const;
 
   /// Execution limits armed for every subsequent Execute on this connection
   /// (deadline, cancellation token, row budgets). Default: no limits.
@@ -249,7 +243,7 @@ class Connection {
   Status FinishStatementIo(StatementIo& io);
 
   /// Dispatches one parsed read-only statement (SELECT, PREDICTION JOIN,
-  /// CONTENT, EXPORT) against the catalogs under at least a shared lock.
+  /// EXPORT) against the catalogs under at least a shared lock.
   Result<Rowset> DispatchRead(DmxParseResult& parsed, StatementIo& io)
       DMX_REQUIRES_SHARED(provider_->catalog_mu_);
 

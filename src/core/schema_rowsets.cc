@@ -1,10 +1,18 @@
 #include "core/schema_rowsets.h"
 
+#include <string_view>
+#include <utility>
+
+#include "core/udf.h"
+
 namespace dmx {
 
 namespace {
 
-Result<Rowset> MiningServicesRowset(const ServiceRegistry& services) {
+// Every producer takes both catalogs, so kSystemTables can name them alike.
+
+Result<Rowset> MiningServicesRowset(const ServiceRegistry& services,
+                                    const ModelCatalog&) {
   auto schema = Schema::Make({{"SERVICE_NAME", DataType::kText},
                               {"SERVICE_DISPLAY_NAME", DataType::kText},
                               {"SERVICE_DESCRIPTION", DataType::kText},
@@ -34,7 +42,8 @@ Result<Rowset> MiningServicesRowset(const ServiceRegistry& services) {
   return out;
 }
 
-Result<Rowset> ServiceParametersRowset(const ServiceRegistry& services) {
+Result<Rowset> ServiceParametersRowset(const ServiceRegistry& services,
+                                       const ModelCatalog&) {
   auto schema = Schema::Make({{"SERVICE_NAME", DataType::kText},
                               {"PARAMETER_NAME", DataType::kText},
                               {"PARAMETER_DESCRIPTION", DataType::kText},
@@ -52,7 +61,8 @@ Result<Rowset> ServiceParametersRowset(const ServiceRegistry& services) {
   return out;
 }
 
-Result<Rowset> MiningModelsRowset(const ModelCatalog& models) {
+Result<Rowset> MiningModelsRowset(const ServiceRegistry&,
+                                  const ModelCatalog& models) {
   auto schema = Schema::Make({{"MODEL_NAME", DataType::kText},
                               {"SERVICE_NAME", DataType::kText},
                               {"IS_POPULATED", DataType::kBool},
@@ -120,8 +130,8 @@ Status AppendColumnRows(const std::string& model_name, const ModelColumn& col,
   return Status::OK();
 }
 
-Result<Rowset> MiningColumnsRowset(const ModelCatalog& models,
-                                   const std::string& filter) {
+Result<Rowset> MiningColumnsRowset(const ServiceRegistry&,
+                                   const ModelCatalog& models) {
   auto schema = Schema::Make({{"MODEL_NAME", DataType::kText},
                               {"COLUMN_NAME", DataType::kText},
                               {"NESTED_TABLE", DataType::kText},
@@ -132,7 +142,6 @@ Result<Rowset> MiningColumnsRowset(const ModelCatalog& models,
                               {"DISTRIBUTION_HINT", DataType::kText}});
   Rowset out(schema);
   for (const std::string& name : models.ListModels()) {
-    if (!filter.empty() && !EqualsCi(filter, name)) continue;
     DMX_ASSIGN_OR_RETURN(const MiningModel* model, models.GetModel(name));
     for (const ModelColumn& col : model->definition().columns) {
       DMX_RETURN_IF_ERROR(
@@ -156,7 +165,7 @@ std::shared_ptr<const Schema> ContentSchema() {
                     {"MARGINAL_PROBABILITY", DataType::kDouble},
                     {"NODE_SCORE", DataType::kDouble},
                     {"CHILDREN_CARDINALITY", DataType::kLong},
-                    {"NODE_DISTRIBUTION", DataType::kTable}});
+                    {"NODE_DISTRIBUTION", ContentNode::DistributionSchema()}});
   return kSchema;
 }
 
@@ -178,54 +187,58 @@ Status AppendContentRows(const MiningModel& model, Rowset* out) {
   return Status::OK();
 }
 
-Result<Rowset> MiningFunctionsRowset() {
+// Content rows of every populated model.
+Result<Rowset> MiningModelContentRowset(const ServiceRegistry&,
+                                        const ModelCatalog& models) {
+  Rowset out(ContentSchema());
+  for (const std::string& name : models.ListModels()) {
+    DMX_ASSIGN_OR_RETURN(const MiningModel* model, models.GetModel(name));
+    if (!model->is_trained()) continue;
+    DMX_RETURN_IF_ERROR(AppendContentRows(*model, &out));
+  }
+  return out;
+}
+
+Result<Rowset> MiningFunctionsRowset(const ServiceRegistry&,
+                                     const ModelCatalog&) {
   auto schema = Schema::Make({{"FUNCTION_NAME", DataType::kText},
                               {"RETURNS", DataType::kText},
                               {"SYNTAX", DataType::kText},
                               {"DESCRIPTION", DataType::kText}});
-  struct FunctionRow {
-    const char* name;
-    const char* returns;
-    const char* syntax;
-    const char* description;
-  };
-  // Must stay in sync with core/udf.cc.
-  static const FunctionRow kFunctions[] = {
-      {"Predict", "scalar or TABLE", "Predict(<column> [, n])",
-       "Best estimate; on a TABLE column, the top-n recommended items"},
-      {"PredictAssociation", "TABLE", "PredictAssociation(<table> [, n])",
-       "Alias of Predict for set-valued targets"},
-      {"PredictProbability", "DOUBLE",
-       "PredictProbability(<column> [, value])",
-       "Probability of the prediction (or of an explicit value)"},
-      {"PredictSupport", "DOUBLE", "PredictSupport(<column> [, value])",
-       "Training cases behind the prediction"},
-      {"PredictVariance", "DOUBLE", "PredictVariance(<column>)",
-       "Predictive variance (continuous targets)"},
-      {"PredictStdev", "DOUBLE", "PredictStdev(<column>)",
-       "Standard deviation of the prediction"},
-      {"PredictHistogram", "TABLE", "PredictHistogram(<column>)",
-       "All candidate values with $SUPPORT/$PROBABILITY/$VARIANCE/$STDEV"},
-      {"TopCount", "TABLE", "TopCount(<table expr>, <rank column>, n)",
-       "Top n rows of a table expression by the rank column"},
-      {"RangeMin", "DOUBLE", "RangeMin(<discretized column>)",
-       "Lower bound of the predicted bucket"},
-      {"RangeMid", "DOUBLE", "RangeMid(<discretized column>)",
-       "Midpoint of the predicted bucket"},
-      {"RangeMax", "DOUBLE", "RangeMax(<discretized column>)",
-       "Upper bound of the predicted bucket"},
-      {"Cluster", "TEXT", "Cluster()",
-       "Winning cluster caption (segmentation models)"},
-      {"ClusterProbability", "DOUBLE", "ClusterProbability()",
-       "Probability of the winning cluster"},
-  };
   Rowset out(schema);
-  for (const FunctionRow& f : kFunctions) {
+  for (const Udf& f : ShippedUdfs()) {
     DMX_RETURN_IF_ERROR(
         out.Append({Value::Text(f.name), Value::Text(f.returns),
                     Value::Text(f.syntax), Value::Text(f.description)}));
   }
   return out;
+}
+
+// The schema rowsets by their `$system.` names, as Analysis Services
+// spells them.
+struct SystemTable {
+  const char* name;
+  Result<Rowset> (*produce)(const ServiceRegistry&, const ModelCatalog&);
+};
+
+constexpr SystemTable kSystemTables[] = {
+    {"DMSCHEMA_MINING_SERVICES", MiningServicesRowset},
+    {"DMSCHEMA_MINING_SERVICE_PARAMETERS", ServiceParametersRowset},
+    {"DMSCHEMA_MINING_MODELS", MiningModelsRowset},
+    {"DMSCHEMA_MINING_COLUMNS", MiningColumnsRowset},
+    {"DMSCHEMA_MINING_MODEL_CONTENT", MiningModelContentRowset},
+    {"DMSCHEMA_MINING_FUNCTIONS", MiningFunctionsRowset},
+};
+
+constexpr std::string_view kSystemPrefix = "$system.";
+constexpr std::string_view kContentSuffix = ".CONTENT";
+
+// A table holding `rowset`'s rows (InsertAll keeps its in-order bits).
+Result<std::unique_ptr<rel::Table>> ToTable(const std::string& name,
+                                            Rowset rowset) {
+  auto table = std::make_unique<rel::Table>(name, rowset.schema());
+  DMX_RETURN_IF_ERROR(table->InsertAll(std::move(rowset.mutable_rows())));
+  return table;
 }
 
 }  // namespace
@@ -236,33 +249,43 @@ Result<Rowset> GetContentRowset(const MiningModel& model) {
   return out;
 }
 
-Result<Rowset> GetSchemaRowset(SchemaRowsetKind kind,
+Result<Rowset> GetSchemaRowset(std::string_view name,
                                const ServiceRegistry& services,
-                               const ModelCatalog& models,
-                               const std::string& model_filter) {
-  switch (kind) {
-    case SchemaRowsetKind::kMiningServices:
-      return MiningServicesRowset(services);
-    case SchemaRowsetKind::kServiceParameters:
-      return ServiceParametersRowset(services);
-    case SchemaRowsetKind::kMiningModels:
-      return MiningModelsRowset(models);
-    case SchemaRowsetKind::kMiningColumns:
-      return MiningColumnsRowset(models, model_filter);
-    case SchemaRowsetKind::kMiningFunctions:
-      return MiningFunctionsRowset();
-    case SchemaRowsetKind::kMiningModelContent: {
-      Rowset out(ContentSchema());
-      for (const std::string& name : models.ListModels()) {
-        if (!model_filter.empty() && !EqualsCi(model_filter, name)) continue;
-        DMX_ASSIGN_OR_RETURN(const MiningModel* model, models.GetModel(name));
-        if (!model->is_trained()) continue;
-        DMX_RETURN_IF_ERROR(AppendContentRows(*model, &out));
-      }
-      return out;
-    }
+                               const ModelCatalog& models) {
+  for (const SystemTable& table : kSystemTables) {
+    if (EqualsCi(name, table.name)) return table.produce(services, models);
   }
-  return Internal() << "unreachable schema rowset kind";
+  return NotFound() << "no system table '$system." << name << "'";
+}
+
+std::optional<std::string> ContentModelName(const std::string& table) {
+  const std::string_view name(table);
+  if (name.size() <= kContentSuffix.size() ||
+      !EqualsCi(name.substr(name.size() - kContentSuffix.size()),
+                kContentSuffix)) {
+    return std::nullopt;
+  }
+  return table.substr(0, name.size() - kContentSuffix.size());
+}
+
+Result<std::unique_ptr<rel::Table>> BuildSystemTable(
+    const std::string& name, const ServiceRegistry& services,
+    const ModelCatalog& models) {
+  const std::string_view view(name);
+  if (view.size() > kSystemPrefix.size() &&
+      EqualsCi(view.substr(0, kSystemPrefix.size()), kSystemPrefix)) {
+    DMX_ASSIGN_OR_RETURN(
+        Rowset rowset,
+        GetSchemaRowset(view.substr(kSystemPrefix.size()), services, models));
+    return ToTable(name, std::move(rowset));
+  }
+  if (std::optional<std::string> model_name = ContentModelName(name)) {
+    DMX_ASSIGN_OR_RETURN(const MiningModel* model,
+                         models.GetModel(*model_name));
+    DMX_ASSIGN_OR_RETURN(Rowset rowset, GetContentRowset(*model));
+    return ToTable(name, std::move(rowset));
+  }
+  return NotFound() << "table '" << name << "' does not exist";
 }
 
 }  // namespace dmx

@@ -23,30 +23,40 @@ struct BindScope {
   const std::string& source_alias;
 };
 
-// One shipped UDF: its name, bound function and arity. `arity` completes
-// the diagnostic "<name> takes <arity>".
-struct Udf {
-  const char* name;
-  Fn fn;
-  size_t min_args;
-  size_t max_args;
-  const char* arity;
-};
-
 constexpr Udf kUdfs[] = {
-    {"Predict", Fn::kPredict, 1, 2, "1 or 2 arguments"},
-    {"PredictAssociation", Fn::kPredict, 1, 2, "1 or 2 arguments"},
-    {"PredictProbability", Fn::kPredictProbability, 1, 2, "1 or 2 arguments"},
-    {"PredictSupport", Fn::kPredictSupport, 1, 2, "1 or 2 arguments"},
-    {"PredictVariance", Fn::kPredictVariance, 1, 2, "1 or 2 arguments"},
-    {"PredictStdev", Fn::kPredictStdev, 1, 2, "1 or 2 arguments"},
-    {"PredictHistogram", Fn::kPredictHistogram, 1, 1, "exactly 1 argument"},
-    {"TopCount", Fn::kTopCount, 3, 3, "(table expr, rank column, count)"},
-    {"RangeMin", Fn::kRangeMin, 1, 1, "exactly 1 argument"},
-    {"RangeMid", Fn::kRangeMid, 1, 1, "exactly 1 argument"},
-    {"RangeMax", Fn::kRangeMax, 1, 1, "exactly 1 argument"},
-    {"Cluster", Fn::kCluster, 0, 0, "no arguments"},
-    {"ClusterProbability", Fn::kClusterProbability, 0, 0, "no arguments"},
+    {"Predict", Fn::kPredict, 1, 2, "1 or 2 arguments", "scalar or TABLE",
+     "Predict(<column> [, n])",
+     "Best estimate; on a TABLE column, the top-n recommended items"},
+    {"PredictAssociation", Fn::kPredict, 1, 2, "1 or 2 arguments", "TABLE",
+     "PredictAssociation(<table> [, n])",
+     "Alias of Predict for set-valued targets"},
+    {"PredictProbability", Fn::kPredictProbability, 1, 2, "1 or 2 arguments",
+     "DOUBLE", "PredictProbability(<column> [, value])",
+     "Probability of the prediction (or of an explicit value)"},
+    {"PredictSupport", Fn::kPredictSupport, 1, 2, "1 or 2 arguments",
+     "DOUBLE", "PredictSupport(<column> [, value])",
+     "Training cases behind the prediction"},
+    {"PredictVariance", Fn::kPredictVariance, 1, 2, "1 or 2 arguments",
+     "DOUBLE", "PredictVariance(<column>)",
+     "Predictive variance (continuous targets)"},
+    {"PredictStdev", Fn::kPredictStdev, 1, 2, "1 or 2 arguments", "DOUBLE",
+     "PredictStdev(<column>)", "Standard deviation of the prediction"},
+    {"PredictHistogram", Fn::kPredictHistogram, 1, 1, "exactly 1 argument",
+     "TABLE", "PredictHistogram(<column>)",
+     "All candidate values with $SUPPORT/$PROBABILITY/$VARIANCE/$STDEV"},
+    {"TopCount", Fn::kTopCount, 3, 3, "(table expr, rank column, count)",
+     "TABLE", "TopCount(<table expr>, <rank column>, n)",
+     "Top n rows of a table expression by the rank column"},
+    {"RangeMin", Fn::kRangeMin, 1, 1, "exactly 1 argument", "DOUBLE",
+     "RangeMin(<discretized column>)", "Lower bound of the predicted bucket"},
+    {"RangeMid", Fn::kRangeMid, 1, 1, "exactly 1 argument", "DOUBLE",
+     "RangeMid(<discretized column>)", "Midpoint of the predicted bucket"},
+    {"RangeMax", Fn::kRangeMax, 1, 1, "exactly 1 argument", "DOUBLE",
+     "RangeMax(<discretized column>)", "Upper bound of the predicted bucket"},
+    {"Cluster", Fn::kCluster, 0, 0, "no arguments", "TEXT", "Cluster()",
+     "Winning cluster caption (segmentation models)"},
+    {"ClusterProbability", Fn::kClusterProbability, 0, 0, "no arguments",
+     "DOUBLE", "ClusterProbability()", "Probability of the winning cluster"},
 };
 
 DataType LiteralType(const Value& literal) {
@@ -446,5 +456,7 @@ Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
       return p->predicted;
   }
 }
+
+std::span<const Udf> ShippedUdfs() { return kUdfs; }
 
 }  // namespace dmx

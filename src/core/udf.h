@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,23 @@ struct BoundDmxExpr {
   std::vector<double> bucket_bounds;  ///< Range*: the attribute's bounds.
   std::vector<BoundDmxExpr> args;     ///< TopCount: the table expression.
 };
+
+/// One shipped UDF: its name, bound function and arity, and how
+/// DMSCHEMA_MINING_FUNCTIONS describes it. `arity` completes the diagnostic
+/// "<name> takes <arity>".
+struct Udf {
+  const char* name;
+  BoundDmxExpr::Fn fn;
+  size_t min_args;
+  size_t max_args;
+  const char* arity;
+  const char* returns;
+  const char* syntax;
+  const char* description;
+};
+
+/// Every UDF BindDmxExpr accepts, in the order the schema rowset lists them.
+std::span<const Udf> ShippedUdfs();
 
 /// Binds `expr` for a prediction join of `model` with a source of schema
 /// `source` aliased `source_alias`. Every diagnostic that does not depend on

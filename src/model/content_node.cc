@@ -35,12 +35,16 @@ void ContentNode::Flatten(
   }
 }
 
-std::shared_ptr<const NestedTable> ContentNode::DistributionTable() const {
+const std::shared_ptr<const Schema>& ContentNode::DistributionSchema() {
   static const auto kSchema = Schema::Make({{"ATTRIBUTE_NAME", DataType::kText},
                                             {"ATTRIBUTE_VALUE", DataType::kText},
                                             {"SUPPORT", DataType::kDouble},
                                             {"PROBABILITY", DataType::kDouble},
                                             {"VARIANCE", DataType::kDouble}});
+  return kSchema;
+}
+
+std::shared_ptr<const NestedTable> ContentNode::DistributionTable() const {
   std::vector<Row> rows;
   rows.reserve(distribution.size());
   for (const DistributionEntry& entry : distribution) {
@@ -50,7 +54,7 @@ std::shared_ptr<const NestedTable> ContentNode::DistributionTable() const {
                     Value::Double(entry.probability),
                     Value::Double(entry.variance)});
   }
-  return NestedTable::Make(kSchema, std::move(rows));
+  return NestedTable::Make(DistributionSchema(), std::move(rows));
 }
 
 }  // namespace dmx

@@ -66,6 +66,9 @@ struct ContentNode {
   /// Renders the distribution as the standard nested rowset
   /// (ATTRIBUTE_NAME, ATTRIBUTE_VALUE, SUPPORT, PROBABILITY, VARIANCE).
   std::shared_ptr<const NestedTable> DistributionTable() const;
+
+  /// The schema of every DistributionTable.
+  static const std::shared_ptr<const Schema>& DistributionSchema();
 };
 
 using ContentNodePtr = std::shared_ptr<ContentNode>;

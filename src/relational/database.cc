@@ -35,6 +35,17 @@ Result<const Table*> Database::GetTable(const std::string& name) const {
   return static_cast<const Table*>(it->second.get());
 }
 
+Result<const Table*> Database::ReadTable(
+    const std::string& name, std::unique_ptr<Table>* built) const {
+  auto it = tables_.find(name);
+  if (it != tables_.end()) return static_cast<const Table*>(it->second.get());
+  if (resolver_ == nullptr) {
+    return NotFound() << "table '" << name << "' does not exist";
+  }
+  DMX_ASSIGN_OR_RETURN(*built, resolver_(name));
+  return static_cast<const Table*>(built->get());
+}
+
 Status Database::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return NotFound() << "table '" << name << "' does not exist";

@@ -6,6 +6,7 @@
 #ifndef DMX_RELATIONAL_DATABASE_H_
 #define DMX_RELATIONAL_DATABASE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,6 +23,17 @@ namespace dmx::rel {
 /// \brief Named-table catalog with case-insensitive names.
 class Database {
  public:
+  /// Builds, for one statement, the read-only table that a name outside the
+  /// base-table map stands for; NotFound when it knows no such name.
+  using Resolver =
+      std::function<Result<std::unique_ptr<Table>>(const std::string& name)>;
+
+  Database() = default;
+  /// A database whose reads fall back to `resolver` for names that no base
+  /// table has. The provider passes one that builds its schema rowsets and
+  /// model content (core/schema_rowsets.h).
+  explicit Database(Resolver resolver) : resolver_(std::move(resolver)) {}
+
   /// Creates an empty table. AlreadyExists when the name is taken.
   Result<Table*> CreateTable(const std::string& name,
                              std::shared_ptr<const Schema> schema);
@@ -29,6 +41,12 @@ class Database {
   /// NotFound when the table does not exist.
   Result<Table*> GetTable(const std::string& name);
   Result<const Table*> GetTable(const std::string& name) const;
+
+  /// The table a SELECT reads as `name`: the base table, or else the one the
+  /// resolver builds, which `*built` then owns. Only reads come here, so the
+  /// resolver's tables are read-only: writes name tables through GetTable.
+  Result<const Table*> ReadTable(const std::string& name,
+                                 std::unique_ptr<Table>* built) const;
 
   Status DropTable(const std::string& name);
 
@@ -41,6 +59,7 @@ class Database {
 
  private:
   std::map<std::string, std::unique_ptr<Table>, LessCi> tables_;
+  Resolver resolver_;
 };
 
 /// Renders rows as CSV text (header row, RFC-4180-style quoting) — the form

@@ -4,6 +4,8 @@
 //   FROM table [alias] [INNER JOIN table [alias] ON expr]...
 //   [WHERE expr] [ORDER BY expr [ASC|DESC], ...]
 //
+//   table := name | $system.<rowset> | <model>.CONTENT
+//
 //   CREATE TABLE name (col TYPE, ...)
 //   INSERT INTO name [(cols)] VALUES (...), (...)
 //   DROP TABLE name
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/source_span.h"
 #include "relational/expression.h"
 
 namespace dmx::rel {
@@ -34,10 +37,15 @@ struct SelectItem {
   std::string alias;
 };
 
-/// A base-table reference with optional alias.
+/// A table reference with optional alias. Besides a base table it may name
+/// one of the provider's read-only tables: the parser folds `$system.<rowset>`
+/// and `<model>.CONTENT` into `table` as written, with the dot, and aliases
+/// them by their last part ("CONTENT") unless the statement names an alias.
+/// Database::ReadTable resolves them.
 struct TableRef {
   std::string table;
   std::string alias;  ///< Defaults to the table name when empty.
+  SourceSpan span;    ///< The name; for `<model>.CONTENT`, the model name.
 
   const std::string& effective_alias() const {
     return alias.empty() ? table : alias;

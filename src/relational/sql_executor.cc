@@ -486,9 +486,18 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
   // aggregation, which groups contiguous rows, gathers it into owned rows.
   std::vector<size_t> selection;
   bool use_selection = false;
+  // Tables the database's resolver builds for this statement (schema
+  // rowsets, model content); base tables are borrowed from the catalog.
+  std::vector<std::unique_ptr<Table>> built;
+  auto read_table = [&](const std::string& name) -> Result<const Table*> {
+    std::unique_ptr<Table> owned;
+    DMX_ASSIGN_OR_RETURN(const Table* table, db.ReadTable(name, &owned));
+    if (owned != nullptr) built.push_back(std::move(owned));
+    return table;
+  };
   const Table* base = nullptr;
   if (stmt.has_from()) {
-    DMX_ASSIGN_OR_RETURN(base, db.GetTable(stmt.from.table));
+    DMX_ASSIGN_OR_RETURN(base, read_table(stmt.from.table));
     schemas.push_back(base->schema().get());
     offsets.push_back(0);
     aliases.push_back(stmt.from.effective_alias());
@@ -504,7 +513,7 @@ Result<Rowset> ExecuteSelect(const Database& db, const SelectStatement& stmt) {
   }
 
   for (const JoinClause& join : stmt.joins) {
-    DMX_ASSIGN_OR_RETURN(const Table* right, db.GetTable(join.table.table));
+    DMX_ASSIGN_OR_RETURN(const Table* right, read_table(join.table.table));
     size_t left_width = scope.width();
 
     Scope right_scope;

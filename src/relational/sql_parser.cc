@@ -168,9 +168,25 @@ Result<ExprPtr> ParseOr(TokenStream* tokens) {
   return lhs;
 }
 
+// table [[AS] alias], where table is a name, `$system.<rowset>` or
+// `<model>.CONTENT` (see TableRef).
 Result<TableRef> ParseTableRef(TokenStream* tokens) {
   TableRef ref;
-  DMX_ASSIGN_OR_RETURN(ref.table, tokens->ExpectIdentifier("table name"));
+  ref.span = tokens->Peek().span();
+  if (tokens->MatchPunct("$")) {
+    DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("SYSTEM"));
+    DMX_RETURN_IF_ERROR(tokens->ExpectPunct("."));
+    DMX_ASSIGN_OR_RETURN(ref.alias,
+                         tokens->ExpectIdentifier("system table name"));
+    ref.table = "$system." + ref.alias;
+  } else {
+    DMX_ASSIGN_OR_RETURN(ref.table, tokens->ExpectIdentifier("table name"));
+    if (tokens->Peek().IsPunct(".") && tokens->Peek(1).IsKeyword("CONTENT")) {
+      tokens->Next();
+      ref.alias = tokens->Next().text;
+      ref.table += "." + ref.alias;
+    }
+  }
   if (tokens->MatchKeyword("AS")) {
     DMX_ASSIGN_OR_RETURN(ref.alias, tokens->ExpectIdentifier("table alias"));
   } else if (tokens->Peek().kind == TokenKind::kIdentifier &&

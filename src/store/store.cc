@@ -510,8 +510,7 @@ Status DurableStore::Recover() {
                                                  PreparedObject());
     RunParallel(threads, entries.size(), [&](size_t i) {
       prepared[i] = entries[i].kind == 'M'
-                        ? client_->PrepareModelBlob(entries[i].name,
-                                                    entries[i].data)
+                        ? client_->PrepareModelBlob(entries[i].data)
                         : client_->PrepareTableSnapshot(entries[i]);
     });
     for (size_t i = 0; i < entries.size(); ++i) {
@@ -522,8 +521,7 @@ Status DurableStore::Recover() {
       }
       Status applied =
           record.kind == 'M'
-              ? client_->ApplyPreparedModel(record.name, record.data,
-                                            prepared[i].value())
+              ? client_->ApplyPreparedModel(record.name, prepared[i].value())
               : client_->ApplyPreparedTable(record, prepared[i].value());
       DMX_RETURN_IF_ERROR(applied.WithContext(
           std::string("restoring ") +
@@ -667,7 +665,7 @@ Status DurableStore::Recover() {
       rec.record = std::move(*decoded);
       if (rec.record.kind == 'M') {
         Result<PreparedObject> prep =
-            client_->PrepareModelBlob(rec.record.name, rec.record.data);
+            client_->PrepareModelBlob(rec.record.data);
         if (!prep.ok()) {
           scan.failure =
               prep.status().WithContext("deserializing journaled model '" +
@@ -769,8 +767,7 @@ Status DurableStore::Recover() {
             ? client_->ApplyStatement(rec.record.data)
                   .WithContext("replaying journaled statement")
             : client_
-                  ->ApplyPreparedModel(rec.record.name, rec.record.data,
-                                       rec.prepared)
+                  ->ApplyPreparedModel(rec.record.name, rec.prepared)
                   .WithContext("replaying journaled model '" +
                                rec.record.name + "'");
     if (!status.ok()) {
@@ -1284,9 +1281,15 @@ Status DurableStore::Repair(const std::string& shard_id, RepairStats* stats) {
   // blob) is skipped, any other failure aborts with the shard still
   // quarantined.
   for (const StoreRecord& record : records) {
-    Status status = record.kind == 'S'
-                        ? client_->ApplyStatement(record.data)
-                        : client_->ApplyModelBlob(record.name, record.data);
+    Status status;
+    if (record.kind == 'S') {
+      status = client_->ApplyStatement(record.data);
+    } else {
+      Result<PreparedObject> prepared = client_->PrepareModelBlob(record.data);
+      status = prepared.ok()
+                   ? client_->ApplyPreparedModel(record.name, *prepared)
+                   : prepared.status();
+    }
     if (status.code() == StatusCode::kAlreadyExists) {
       ++local.records_skipped;
       continue;

@@ -81,50 +81,29 @@ class StoreClient {
   /// Re-executes one journaled DDL/DML statement.
   virtual Status ApplyStatement(const std::string& text) = 0;
 
-  /// Installs a model from its serialized form, replacing any same-named one.
-  virtual Status ApplyModelBlob(const std::string& name,
-                                const std::string& pmml) = 0;
-
-  /// Installs a table snapshot, replacing any same-named one.
-  virtual Status ApplyTableSnapshot(const StoreRecord& record) = 0;
-
   /// Serializes the whole catalog (tables then models) for a snapshot.
   virtual Result<std::vector<StoreRecord>> CaptureSnapshot() = 0;
 
-  // --- parallel-recovery seam -------------------------------------------
-  // Prepare* deserialize the expensive part of a record and MUST be safe to
-  // call from concurrent recovery worker threads (they run while Open holds
-  // every relevant lock, and are joined before anything is applied).
-  // ApplyPrepared* run on the recovering thread in record order. The default
-  // implementations defer all work to the Apply path, so a client that does
-  // not override them still recovers correctly — just serially.
+  // --- recovery: each model blob and table snapshot is applied in two
+  // steps. Prepare* deserialize the expensive part of a record and MUST be
+  // safe to call from concurrent recovery worker threads (they run while
+  // Open or Repair holds every relevant lock, and are joined before
+  // anything is applied). ApplyPrepared* run on the recovering thread in
+  // record order.
 
-  /// Deserializes a model blob off-thread; nullptr means "not prepared".
-  virtual Result<PreparedObject> PrepareModelBlob(const std::string& name,
-                                                  const std::string& pmml) {
-    (void)name;
-    (void)pmml;
-    return PreparedObject();
-  }
-  /// Installs a model prepared by PrepareModelBlob (nullptr: fall back to
-  /// ApplyModelBlob on `pmml`).
+  /// Deserializes a model blob.
+  virtual Result<PreparedObject> PrepareModelBlob(const std::string& pmml) = 0;
+  /// Installs a model prepared by PrepareModelBlob under `name`, replacing
+  /// any same-named one.
   virtual Status ApplyPreparedModel(const std::string& name,
-                                    const std::string& pmml,
-                                    const PreparedObject& prepared) {
-    (void)prepared;
-    return ApplyModelBlob(name, pmml);
-  }
-  /// Parses a table snapshot off-thread; nullptr means "not prepared".
+                                    const PreparedObject& prepared) = 0;
+  /// Parses a table snapshot.
   virtual Result<PreparedObject> PrepareTableSnapshot(
-      const StoreRecord& record) {
-    (void)record;
-    return PreparedObject();
-  }
+      const StoreRecord& record) = 0;
+  /// Installs a table prepared by PrepareTableSnapshot, replacing any
+  /// same-named one.
   virtual Status ApplyPreparedTable(const StoreRecord& record,
-                                    const PreparedObject& prepared) {
-    (void)prepared;
-    return ApplyTableSnapshot(record);
-  }
+                                    const PreparedObject& prepared) = 0;
 };
 
 struct StoreOptions {

@@ -5,9 +5,8 @@
 // string-keyed lookup per row, a dropped reserve — fails these tests in the
 // hotpath CI job instead of waiting for a reviewer to spot it.
 //
-// Methodology (mirrors bench/bench_hotpath.cc): run the operation twice —
-// the first run warms caches, lazy statics and the model catalogs — then
-// measure the second with an AllocStats::Region and divide by the rows
+// Methodology: run the operation twice — the first run warms caches, lazy
+// statics and the model catalogs — then measure the second with an AllocStats::Region and divide by the rows
 // processed. Ceilings are the measured value times ~1.5 (libstdc++ growth
 // policies and SSO thresholds vary across versions) rounded up. They are
 // per-row asymptotes: fixed per-statement costs (parse, bind, schema

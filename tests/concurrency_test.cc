@@ -124,7 +124,8 @@ void RunSession(Provider* provider, int id, std::atomic<int>* failures) {
            "]) AS s");
     }
     // Schema rowsets take the shared lock like any other read.
-    auto models = conn->GetSchemaRowset(SchemaRowsetKind::kMiningModels);
+    auto models =
+        conn->Execute("SELECT MODEL_NAME FROM $system.DMSCHEMA_MINING_MODELS");
     if (!models.ok()) {
       ADD_FAILURE() << "thread " << id << ": " << models.status().ToString();
       failures->fetch_add(1);

@@ -41,7 +41,8 @@ TEST(DmxClassifierTest, DmxIsRecognized) {
   EXPECT_FALSE(MustParse("SELECT Predict(x) FROM m NATURAL PREDICTION JOIN "
                          "(SELECT a FROM t) AS t")
                    .is_sql);
-  EXPECT_FALSE(MustParse("SELECT * FROM m.CONTENT").is_sql);
+  // Model content is a table of the relational engine: plain SQL.
+  EXPECT_TRUE(MustParse("SELECT * FROM m.CONTENT").is_sql);
   EXPECT_FALSE(MustParse("DROP MINING MODEL m").is_sql);
   // DELETE FROM with a bare name is provisionally DMX (provider re-routes).
   auto del = MustParse("DELETE FROM m");
@@ -293,9 +294,13 @@ TEST(PredictionJoinTest, NaturalFormAndErrors) {
 }
 
 TEST(ContentSelectTest, Parses) {
-  auto parsed = MustParse("SELECT * FROM [Age Prediction].CONTENT");
-  const auto& content = std::get<SelectContentStatement>(*parsed.statement);
-  EXPECT_EQ(content.model_name, "Age Prediction");
+  const std::string text = "SELECT * FROM [Age Prediction].CONTENT";
+  auto parsed = MustParse(text);
+  ASSERT_TRUE(parsed.is_sql);
+  const auto& select = std::get<rel::SelectStatement>(*parsed.sql);
+  EXPECT_EQ(select.from.table, "Age Prediction.CONTENT");
+  EXPECT_EQ(select.from.effective_alias(), "CONTENT");
+  EXPECT_EQ(select.from.span.offset, text.find("[Age Prediction]"));
 }
 
 TEST(DmxExprTest, ToStringForms) {

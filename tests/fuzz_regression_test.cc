@@ -105,6 +105,27 @@ TEST(FuzzRegressionTest, RangeSeedsExecute) {
   EXPECT_GE(seeds, 4u);
 }
 
+// The valid-system-* seeds read the provider's read-only tables through the
+// SQL pipe: each is analyzer-clean and executes over the fuzz catalog.
+TEST(FuzzRegressionTest, SystemTableSeedsExecute) {
+  size_t seeds = 0;
+  for (const auto& [name, data] : LoadInputs("corpus", "dmx_statement")) {
+    if (name.rfind("valid-system-", 0) != 0) continue;
+    ++seeds;
+    Provider provider;
+    fuzz::PopulateFuzzCatalog(&provider);
+    AnalysisReport report =
+        DmxAnalyzer(AnalyzerContext{provider.models(), provider.services(),
+                                    provider.database()})
+            .AnalyzeText(data);
+    EXPECT_EQ(report.error_count(), 0u) << name << "\n" << report.ToString();
+    auto result = provider.Connect()->Execute(data);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    EXPECT_GT(result->num_columns(), 0u) << name;
+  }
+  EXPECT_GE(seeds, 4u);
+}
+
 // Statements drawn from the grammar, a share of them with key ranges on
 // People.Id, through the ordered-scan oracle over one fuzz catalog.
 TEST(FuzzRegressionTest, GeneratedSelectsMatchFullScans) {

@@ -78,7 +78,8 @@ uint64_t RunDdlQueryCheckpoint(Provider* provider, uint64_t seed) {
       if (!count.ok() && !count.status().IsNotFound()) {
         ADD_FAILURE() << count.status().ToString();
       }
-      auto models = conn->GetSchemaRowset(SchemaRowsetKind::kMiningModels);
+      auto models = conn->Execute(
+          "SELECT MODEL_NAME FROM $system.DMSCHEMA_MINING_MODELS");
       if (!models.ok()) ADD_FAILURE() << models.status().ToString();
     }
   });

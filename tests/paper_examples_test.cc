@@ -171,30 +171,29 @@ TEST_F(PaperExamplesTest, SchemaRowsetsDescribeTheProvider) {
   LoadWarehouse(50);
   MustExecute(kCreateAgePrediction);
 
-  auto services = conn_->GetSchemaRowset(SchemaRowsetKind::kMiningServices);
-  ASSERT_TRUE(services.ok());
-  EXPECT_EQ(services->num_rows(), 6u);  // the six built-in services
+  // Schema rowsets are tables read through the same command pipe.
+  Rowset services =
+      MustExecute("SELECT * FROM $system.DMSCHEMA_MINING_SERVICES");
+  EXPECT_EQ(services.num_rows(), 6u);  // the six built-in services
 
-  auto params = conn_->GetSchemaRowset(SchemaRowsetKind::kServiceParameters);
-  ASSERT_TRUE(params.ok());
-  EXPECT_GT(params->num_rows(), 10u);
+  Rowset params =
+      MustExecute("SELECT * FROM $system.DMSCHEMA_MINING_SERVICE_PARAMETERS");
+  EXPECT_GT(params.num_rows(), 10u);
 
-  auto models = conn_->GetSchemaRowset(SchemaRowsetKind::kMiningModels);
-  ASSERT_TRUE(models.ok());
-  ASSERT_EQ(models->num_rows(), 1u);
-  EXPECT_EQ(models->Get(0, "MODEL_NAME")->text_value(), "Age Prediction");
-  EXPECT_FALSE(models->Get(0, "IS_POPULATED")->bool_value());
+  Rowset models = MustExecute("SELECT * FROM $system.DMSCHEMA_MINING_MODELS");
+  ASSERT_EQ(models.num_rows(), 1u);
+  EXPECT_EQ(models.Get(0, "MODEL_NAME")->text_value(), "Age Prediction");
+  EXPECT_FALSE(models.Get(0, "IS_POPULATED")->bool_value());
 
-  auto columns = conn_->GetSchemaRowset(SchemaRowsetKind::kMiningColumns,
-                                        "Age Prediction");
-  ASSERT_TRUE(columns.ok());
-  EXPECT_EQ(columns->num_rows(), 7u);  // 4 top-level + 3 nested
+  Rowset columns = MustExecute(
+      "SELECT * FROM $system.DMSCHEMA_MINING_COLUMNS "
+      "WHERE MODEL_NAME = 'Age Prediction'");
+  EXPECT_EQ(columns.num_rows(), 7u);  // 4 top-level + 3 nested
 
   MustExecute(kInsertAgePrediction);
-  models = conn_->GetSchemaRowset(SchemaRowsetKind::kMiningModels);
-  ASSERT_TRUE(models.ok());
-  EXPECT_TRUE(models->Get(0, "IS_POPULATED")->bool_value());
-  EXPECT_EQ(models->Get(0, "CASE_COUNT")->double_value(), 50.0);
+  models = MustExecute("SELECT * FROM $system.DMSCHEMA_MINING_MODELS");
+  EXPECT_TRUE(models.Get(0, "IS_POPULATED")->bool_value());
+  EXPECT_EQ(models.Get(0, "CASE_COUNT")->double_value(), 50.0);
 }
 
 TEST_F(PaperExamplesTest, SqlFallsThroughTheSamePipe) {

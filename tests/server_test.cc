@@ -259,6 +259,59 @@ TEST(ServerPipeTest, HandshakeExecuteAndCleanClose) {
   EXPECT_EQ(stats.statements_failed, 0u);
 }
 
+// Schema rowsets and model content are tables of the one command pipe: a
+// remote client reads every one, nested NODE_DISTRIBUTION tables included,
+// exactly as an in-process session does.
+TEST(ServerPipeTest, SystemTablesReadOverTheWire) {
+  auto provider = MakePaperProvider();
+  auto local = provider->Connect();
+  for (const char* setup :
+       {"CREATE MINING MODEL served ([Customer ID] LONG KEY, [Gender] TEXT "
+        "DISCRETE PREDICT, [Hair Color] TEXT DISCRETE) USING Naive_Bayes",
+        "INSERT INTO served SELECT [Customer ID], [Gender], [Hair Color] "
+        "FROM Customers"}) {
+    auto done = local->Execute(setup);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+  }
+  DmxServer server(provider.get(), {});
+  auto [server_end, client_end] = MakeLocalPipe();
+  PipeSession session(&server, std::move(server_end));
+  auto client = DmxClient::Handshake(std::move(client_end), {});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  for (const char* table :
+       {"$system.DMSCHEMA_MINING_SERVICES",
+        "$system.DMSCHEMA_MINING_SERVICE_PARAMETERS",
+        "$system.DMSCHEMA_MINING_MODELS", "$system.DMSCHEMA_MINING_COLUMNS",
+        "$system.DMSCHEMA_MINING_MODEL_CONTENT",
+        "$system.DMSCHEMA_MINING_FUNCTIONS", "served.CONTENT"}) {
+    const std::string text = std::string("SELECT * FROM ") + table;
+    auto remote = (*client)->Execute(text);
+    ASSERT_TRUE(remote.ok()) << text << ": " << remote.status().ToString();
+    auto in_process = local->Execute(text);
+    ASSERT_TRUE(in_process.ok()) << text;
+    EXPECT_GT(remote->num_rows(), 0u) << text;
+    EXPECT_TRUE(remote->schema()->Equals(*in_process->schema())) << text;
+    EXPECT_EQ(remote->ToString(/*expand_nested=*/true),
+              in_process->ToString(/*expand_nested=*/true))
+        << text;
+  }
+  auto distributions = (*client)->Execute(
+      "SELECT NODE_DISTRIBUTION FROM served.CONTENT "
+      "WHERE NODE_TYPE <> 'Model'");
+  ASSERT_TRUE(distributions.ok()) << distributions.status().ToString();
+  ASSERT_GT(distributions->num_rows(), 0u);
+  size_t nested_rows = 0;
+  for (const Row& row : distributions->rows()) {
+    ASSERT_TRUE(row[0].is_table());
+    nested_rows += row[0].table_value()->num_rows();
+  }
+  EXPECT_GT(nested_rows, 0u);
+
+  (*client)->Close();
+  session.Join();
+}
+
 TEST(ServerPipeTest, GarbageBytesKillTheSessionWithAnError) {
   auto provider = MakePaperProvider();
   DmxServer server(provider.get(), {});

@@ -388,6 +388,20 @@ TEST(StoreTest, ModelShardDamageQuarantinesAndDegrades) {
     auto drop = conn->Execute("DROP MINING MODEL [NB]");
     ASSERT_FALSE(drop.ok());
     EXPECT_TRUE(drop.status().IsUnavailable());
+    // Its content, a table of the relational engine, says so too, naming
+    // the quarantined shard.
+    std::string shard_id;
+    const store::StoreStatus shards = reopened.store()->GetStatus();
+    for (const store::ShardStatus& shard : shards.shards) {
+      if (shard.model == "NB") shard_id = shard.id;
+    }
+    ASSERT_FALSE(shard_id.empty());
+    auto content = conn->Execute("SELECT NODE_TYPE FROM [NB].CONTENT");
+    ASSERT_FALSE(content.ok());
+    EXPECT_TRUE(content.status().IsUnavailable()) << content.status().ToString();
+    EXPECT_NE(content.status().ToString().find("'" + shard_id + "'"),
+              std::string::npos)
+        << content.status().ToString();
     // Re-creating a model whose name a quarantined shard still owns is also
     // refused — repairing later must not find the name taken.
     auto recreate = conn->Execute(NbScript()[2]);
@@ -488,7 +502,8 @@ TEST(StoreTest, CatalogShardDamageMakesStoreReadOnly) {
   auto model = reopened.models()->GetModel("M");
   ASSERT_TRUE(model.ok());
   EXPECT_TRUE((*model)->is_trained());
-  ASSERT_TRUE(conn->GetSchemaRowset(SchemaRowsetKind::kMiningModels).ok());
+  ASSERT_TRUE(
+      conn->Execute("SELECT * FROM $system.DMSCHEMA_MINING_MODELS").ok());
 
   // Repair re-adopts the valid prefix (the CREATE TABLE) and lifts the
   // read-only mode.

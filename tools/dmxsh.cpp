@@ -33,8 +33,11 @@
 //   --tenant NAME     tenant id for the session handshake
 //
 // Shell commands (no ';'):
-//   \models   \services   \tables   \columns <model>   \checkpoint
+//   \tables   \checkpoint   \store-status   \repair <target>
 //   \timeout <ms>   \help   \quit
+//
+// The provider describes itself through ordinary statements over the
+// schema rowsets, e.g. SELECT * FROM $system.DMSCHEMA_MINING_MODELS;
 
 #include <signal.h>
 
@@ -60,14 +63,18 @@ void PrintHelp() {
       "  CREATE MINING MODEL m (...) USING Naive_Bayes;\n"
       "  INSERT INTO m SHAPE {...} APPEND ({...} RELATE a TO b) AS t;\n"
       "  SELECT ... FROM m NATURAL PREDICTION JOIN (...) AS t;\n"
-      "  SELECT * FROM m.CONTENT;\n"
+      "  SELECT * FROM m.CONTENT WHERE NODE_TYPE = 'Leaf';\n"
       "  ANALYZE <statement>;   lint a statement without executing it\n"
+      "the provider describes itself in read-only tables (schema rowsets)\n"
+      "that SELECT reads like any other, e.g. SELECT * FROM <table>;\n"
+      "  $system.DMSCHEMA_MINING_SERVICES            mining services\n"
+      "  $system.DMSCHEMA_MINING_SERVICE_PARAMETERS  their parameters\n"
+      "  $system.DMSCHEMA_MINING_MODELS              mining models\n"
+      "  $system.DMSCHEMA_MINING_COLUMNS             model columns\n"
+      "  $system.DMSCHEMA_MINING_MODEL_CONTENT       every model's content\n"
+      "  $system.DMSCHEMA_MINING_FUNCTIONS           prediction UDFs\n"
       "shell commands:\n"
-      "  \\models      installed mining models\n"
-      "  \\services    installed mining services\n"
-      "  \\functions   prediction UDFs\n"
       "  \\tables      base tables\n"
-      "  \\columns m   column rowset of model m\n"
       "  \\checkpoint  snapshot the catalog and rotate the WAL (--store)\n"
       "  \\store-status  shards, epochs, degraded models and quarantine\n"
       "               reasons of the attached store (--store)\n"
@@ -124,14 +131,6 @@ bool TryAnalyzeCommand(dmx::Connection* conn, const std::string& command) {
 }
 
 bool HandleShellCommand(dmx::Connection* conn, const std::string& line) {
-  auto show = [&](dmx::SchemaRowsetKind kind, const std::string& filter = "") {
-    auto rowset = conn->GetSchemaRowset(kind, filter);
-    if (rowset.ok()) {
-      PrintRowset(*rowset);
-    } else {
-      PrintStatus(rowset.status());
-    }
-  };
   if (line == "\\checkpoint") {
     auto status = conn->provider()->Checkpoint();
     if (status.ok()) {
@@ -185,19 +184,11 @@ bool HandleShellCommand(dmx::Connection* conn, const std::string& line) {
     } else {
       PrintStatus(status);
     }
-  } else if (line == "\\models") {
-    show(dmx::SchemaRowsetKind::kMiningModels);
-  } else if (line == "\\services") {
-    show(dmx::SchemaRowsetKind::kMiningServices);
-  } else if (line == "\\functions") {
-    show(dmx::SchemaRowsetKind::kMiningFunctions);
   } else if (line == "\\tables") {
     for (const std::string& name :
          conn->provider()->database()->ListTables()) {
       std::cout << "  " << name << "\n";
     }
-  } else if (line.rfind("\\columns ", 0) == 0) {
-    show(dmx::SchemaRowsetKind::kMiningColumns, line.substr(9));
   } else if (line.rfind("\\timeout ", 0) == 0) {
     long ms = std::atol(line.c_str() + 9);
     if (ms < 0) {
