@@ -21,6 +21,7 @@
 #include "core/dmx_parser.h"
 #include "core/mining_model.h"
 #include "core/provider.h"
+#include "pmml/pmml.h"
 #include "relational/database.h"
 #include "relational/sql_executor.h"
 #include "relational/sql_parser.h"
@@ -59,8 +60,10 @@ bool TouchesFileSystem(std::string_view text) {
 }  // namespace
 
 /// The fixed fuzzing catalog (mirrored by the dictionaries in
-/// dmx_grammar.cc): two tables, a trained model [M], an untrained model [U].
-/// Built fresh per input so executor side effects never leak between runs.
+/// dmx_grammar.cc): two tables, a trained model [M], an untrained model [U],
+/// and a trained Naive_Bayes model [W] whose SUPPORT OF column lets a seed
+/// fail an INSERT INTO mid-stream. Built fresh per input so executor side
+/// effects never leak between runs.
 void PopulateFuzzCatalog(Provider* provider) {
   static const char* kSetup[] = {
       "CREATE TABLE People (Id LONG, Age DOUBLE, Income DOUBLE, City TEXT, "
@@ -78,6 +81,10 @@ void PopulateFuzzCatalog(Provider* provider) {
       "INSERT INTO [M] SELECT [Id], [Age], [Income], [Loyalty] FROM People",
       "CREATE MINING MODEL [U] ([Id] LONG KEY, [Age] DOUBLE CONTINUOUS, "
       "[Loyalty] LONG DISCRETE PREDICT) USING Naive_Bayes",
+      "CREATE MINING MODEL [W] ([Id] LONG KEY, [City] TEXT DISCRETE, "
+      "[Loyalty] LONG DISCRETE PREDICT, [Weight] DOUBLE SUPPORT OF [Id]) "
+      "USING Naive_Bayes",
+      "INSERT INTO [W] SELECT [Id], [City], [Loyalty] FROM People",
   };
   auto conn = provider->Connect();
   for (const char* stmt : kSetup) {
@@ -424,6 +431,39 @@ CheckResult CheckOrderedScans(const rel::Database& db, std::string_view text) {
 // Target 1: differential analyzer / executor oracle.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Every table's rows, in name order.
+std::string TableContents(Provider* provider) {
+  std::string out;
+  for (const std::string& name : provider->database()->ListTables()) {
+    auto table = provider->database()->GetTable(name);
+    if (!table.ok()) return "table error: " + table.status().ToString();
+    out += "table " + name + "\n" +
+           rel::ToCsvString(*(*table)->schema(), (*table)->rows());
+  }
+  return out;
+}
+
+/// What a failed statement must leave as it was: every table's rows and
+/// every model's PMML and training cache.
+std::string CatalogContents(Provider* provider) {
+  std::string out = TableContents(provider);
+  std::vector<std::string> models = provider->models()->ListModels();
+  std::sort(models.begin(), models.end());
+  for (const std::string& name : models) {
+    auto model = provider->models()->GetModel(name);
+    if (!model.ok()) return "model error: " + model.status().ToString();
+    auto pmml = SerializeModel(**model);
+    out += "model " + name +
+           " cached=" + std::to_string((*model)->cached_cases()) + "\n" +
+           (pmml.ok() ? *pmml : pmml.status().ToString()) + "\n";
+  }
+  return out;
+}
+
+}  // namespace
+
 CheckResult CheckDmxStatement(std::string_view text) {
   if (text.size() > 4096) return CheckResult::Pass();
   if (TouchesFileSystem(text)) return CheckResult::Pass();
@@ -458,9 +498,15 @@ CheckResult CheckDmxStatement(std::string_view text) {
   limits.max_output_rows = 1 << 14;
   limits.max_working_set_rows = 1 << 16;  // Deterministic runaway bound.
   conn->set_limits(limits);
+  const std::string before = CatalogContents(&provider);
   auto result = conn->Execute(statement);
   StatusCode exec_code =
       result.ok() ? StatusCode::kOk : result.status().code();
+  if (!result.ok() && CatalogContents(&provider) != before) {
+    return CheckResult::Fail("failed statement (" +
+                             result.status().ToString() +
+                             ") changed the catalog: " + statement);
+  }
 
   if (!result.ok() && !IsCleanFailure(exec_code)) {
     return CheckResult::Fail("executor returned " +
@@ -506,15 +552,7 @@ namespace {
 /// with training status. (Prediction equality on recovered models is
 /// store_test's slower job; journaling correctness shows up here already.)
 std::string CatalogStateString(Provider* provider) {
-  std::string out;
-  std::vector<std::string> tables = provider->database()->ListTables();
-  std::sort(tables.begin(), tables.end());
-  for (const std::string& name : tables) {
-    auto table = provider->database()->GetTable(name);
-    if (!table.ok()) return "table error: " + table.status().ToString();
-    out += "table " + name + "\n" +
-           rel::ToCsvString(*(*table)->schema(), (*table)->rows());
-  }
+  std::string out = TableContents(provider);
   std::vector<std::string> models = provider->models()->ListModels();
   std::sort(models.begin(), models.end());
   for (const std::string& name : models) {

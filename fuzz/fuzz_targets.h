@@ -18,7 +18,8 @@
 //    Every SHAPE source the reader accepts must also equal the nested-loop
 //    reference relate (CheckShape), and every SELECT the statement runs
 //    must return over in-order tables what a full scan returns
-//    (CheckOrderedScans).
+//    (CheckOrderedScans). A statement that fails must leave every table's
+//    rows and every model's PMML and case cache as they were.
 //  * CheckStoreRecovery — a statement sequence under an injected I/O fault,
 //    then reopen: the recovered catalog must equal the in-memory oracle
 //    state after exactly the successfully-executed statement prefix.
@@ -76,7 +77,9 @@ extern const DivergenceRule kDivergenceAllowlist[];
 /// True when `rule` appears in kDivergenceAllowlist.
 bool IsAllowlistedDivergence(std::string_view rule);
 
-/// Differential analyzer/executor oracle over one statement text.
+/// Differential analyzer/executor oracle over one statement text. A
+/// statement that fails must also leave every table's rows and every
+/// model's PMML and cached_cases() as they were.
 CheckResult CheckDmxStatement(std::string_view text);
 
 /// The SHAPE source of an INSERT INTO or PREDICTION JOIN, or nullptr.
@@ -104,7 +107,8 @@ CheckResult CheckShape(const rel::Database& db,
 CheckResult CheckOrderedScans(const rel::Database& db, std::string_view text);
 
 /// Builds the fixed fuzzing catalog on a fresh provider: tables People /
-/// Pets, trained model [M], untrained model [U] — the world the grammar
+/// Pets, trained model [M], untrained model [U], trained model [W] with a
+/// SUPPORT OF column — the world the grammar
 /// dictionaries (dmx_grammar.cc) and the rule-coverage meta-test
 /// (tests/rule_coverage_test.cc) are written against. Aborts on failure
 /// (harness bug, not a finding).

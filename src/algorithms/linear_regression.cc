@@ -126,6 +126,11 @@ std::vector<double> LinearRegressionModel::FeatureVector(
   return x;
 }
 
+Result<std::unique_ptr<TrainedModel>> LinearRegressionModel::Clone() const {
+  return std::unique_ptr<TrainedModel>(
+      std::make_unique<LinearRegressionModel>(*this));
+}
+
 // Loops here are over the (fixed-size) feature vector; the per-case guard
 // checkpoint runs in the InsertCases driver right before each call
 // (core/mining_model.cc).

@@ -51,6 +51,7 @@ class LinearRegressionModel : public TrainedModel {
   double case_count() const override { return case_count_; }
 
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
+  Result<std::unique_ptr<TrainedModel>> Clone() const override;
 
   Result<CasePrediction> Predict(const AttributeSet& attrs,
                                  const DataCase& input) const override;

@@ -59,6 +59,11 @@ const std::string& NaiveBayesModel::service_name() const {
   return kServiceName;
 }
 
+Result<std::unique_ptr<TrainedModel>> NaiveBayesModel::Clone() const {
+  return std::unique_ptr<TrainedModel>(
+      std::make_unique<NaiveBayesModel>(*this));
+}
+
 // Loops here are per-attribute, bounded by the model definition; the
 // per-case guard checkpoint runs in the InsertCases driver right before
 // each call (core/mining_model.cc).

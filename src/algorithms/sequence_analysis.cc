@@ -63,6 +63,11 @@ std::vector<int> MarkovSequenceModel::OrderedItems(
   return out;
 }
 
+Result<std::unique_ptr<TrainedModel>> MarkovSequenceModel::Clone() const {
+  return std::unique_ptr<TrainedModel>(
+      std::make_unique<MarkovSequenceModel>(*this));
+}
+
 // Loops here are over one case's own sequence items; the per-case guard
 // checkpoint runs in the InsertCases driver right before each call
 // (core/mining_model.cc).

@@ -8,6 +8,9 @@
 // and unwind with kCancelled / kDeadlineExceeded / kResourceExhausted when a
 // limit trips. Without an installed guard the helpers are a pointer test, so
 // checkpoints cost nothing on unguarded paths (recovery replay, tests).
+// Callers need no rollback of their own for a trip: every mutating
+// statement stages its effect and applies it only on success, so a failed
+// statement leaves the catalogs as they were whether or not limits are set.
 //
 // Threading model: an ExecGuard belongs to the single thread executing the
 // statement; only the CancelToken is shared across threads (it is how one
@@ -59,13 +62,6 @@ struct ExecLimits {
 class ExecGuard {
  public:
   explicit ExecGuard(const ExecLimits& limits);
-
-  /// True when any limit is set — callers may skip snapshot/rollback work
-  /// for unguarded statements.
-  bool armed() const {
-    return has_deadline_ || limits_.cancel != nullptr ||
-           limits_.max_output_rows > 0 || limits_.max_working_set_rows > 0;
-  }
 
   /// The checkpoint: kCancelled if the token fired, kDeadlineExceeded if the
   /// wall clock ran out, OK otherwise.

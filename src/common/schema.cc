@@ -40,8 +40,12 @@ bool Schema::Equals(const Schema& other) const {
     const ColumnDef& b = other.columns_[i];
     if (!EqualsCi(a.name, b.name) || a.type != b.type) return false;
     if (a.type == DataType::kTable) {
-      if ((a.nested == nullptr) != (b.nested == nullptr)) return false;
-      if (a.nested && !a.nested->Equals(*b.nested)) return false;
+      // A TABLE column without a nested schema knows no nested columns: it
+      // equals one with an empty schema, which is how the wire sends it.
+      static const Schema kEmpty;
+      const Schema& a_nested = a.nested != nullptr ? *a.nested : kEmpty;
+      const Schema& b_nested = b.nested != nullptr ? *b.nested : kEmpty;
+      if (!a_nested.Equals(b_nested)) return false;
     }
   }
   return true;

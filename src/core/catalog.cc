@@ -1,36 +1,13 @@
 #include "core/catalog.h"
 
-#include "core/dmx_analyzer.h"
-
 namespace dmx {
 
 Result<MiningModel*> ModelCatalog::CreateModel(ModelDefinition definition,
                                                const ServiceRegistry& registry) {
-  // Service resolution first so an unknown service keeps its kNotFound
-  // contract (the analyzer would fold it into a semantic error instead).
-  DMX_ASSIGN_OR_RETURN(std::shared_ptr<MiningService> service,
-                       registry.Find(definition.service_name));
-  // Semantic analysis next: unlike the legacy first-error Validate(), the
-  // analyzer reports every column-metadata violation in one message. The
-  // registry goes into the context so service-dependent rules fire exactly
-  // as they do for standalone AnalyzeText — notably predict-presence, which
-  // hardens from warning to error for non-segmentation services. The
-  // fuzzer's differential oracle holds both paths to the same verdict.
-  AnalyzerContext context;
-  context.services = &registry;
-  DMX_RETURN_IF_ERROR(
-      DmxAnalyzer(context).AnalyzeDefinition(definition).ToStatus());
-  if (models_.count(definition.model_name) > 0) {
-    return AlreadyExists() << "mining model '" << definition.model_name
-                           << "' already exists";
-  }
-  DMX_ASSIGN_OR_RETURN(ParamMap params,
-                       service->ResolveParams(definition.parameters));
-  auto model = std::make_unique<MiningModel>(std::move(definition),
-                                             std::move(service),
-                                             std::move(params));
+  DMX_ASSIGN_OR_RETURN(std::unique_ptr<MiningModel> model,
+                       MiningModel::Create(std::move(definition), registry));
   MiningModel* raw = model.get();
-  models_.emplace(raw->definition().model_name, std::move(model));
+  DMX_RETURN_IF_ERROR(AdoptModel(std::move(model)));
   return raw;
 }
 

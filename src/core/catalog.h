@@ -25,8 +25,7 @@ namespace dmx {
 /// tests is single-threaded.
 class ModelCatalog {
  public:
-  /// CREATE MINING MODEL: validates the definition, resolves the service
-  /// through `registry` and instantiates the model object.
+  /// CREATE MINING MODEL: MiningModel::Create, then AdoptModel.
   Result<MiningModel*> CreateModel(ModelDefinition definition,
                                    const ServiceRegistry& registry);
 

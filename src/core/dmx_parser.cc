@@ -607,7 +607,7 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
     tokens.MatchKeywords({"DELETE", "FROM"});
     DeleteFromModelStatement stmt;
     stmt.model_span = tokens.Peek().span();
-    stmt.model_name = tokens.Next().text;
+    DMX_ASSIGN_OR_RETURN(stmt.model_name, rel::ParseWriteTarget(&tokens));
     result.statement = std::move(stmt);
   }
   tokens.MatchPunct(";");

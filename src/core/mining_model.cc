@@ -1,6 +1,7 @@
 #include "core/mining_model.h"
 
 #include "common/exec_guard.h"
+#include "core/dmx_analyzer.h"
 
 namespace dmx {
 
@@ -12,8 +13,51 @@ MiningModel::MiningModel(ModelDefinition definition,
       params_(std::move(params)),
       attrs_(CaseBinder::BuildAttributeSet(definition_)) {}
 
+Result<std::unique_ptr<MiningModel>> MiningModel::Create(
+    ModelDefinition definition, const ServiceRegistry& registry) {
+  // Service resolution first so an unknown service keeps its kNotFound
+  // contract (the analyzer would fold it into a semantic error instead).
+  DMX_ASSIGN_OR_RETURN(std::shared_ptr<MiningService> service,
+                       registry.Find(definition.service_name));
+  // The analyzer reports every column-metadata violation in one message.
+  // The registry goes into the context so service-dependent rules fire
+  // exactly as they do for standalone AnalyzeText — notably
+  // predict-presence, which hardens from warning to error for
+  // non-segmentation services. The fuzzer's differential oracle holds both
+  // paths to the same verdict.
+  AnalyzerContext context;
+  context.services = &registry;
+  DMX_RETURN_IF_ERROR(
+      DmxAnalyzer(context).AnalyzeDefinition(definition).ToStatus());
+  DMX_ASSIGN_OR_RETURN(ParamMap params,
+                       service->ResolveParams(definition.parameters));
+  return std::make_unique<MiningModel>(std::move(definition),
+                                       std::move(service), std::move(params));
+}
+
 Status MiningModel::InsertCases(RowsetReader* reader,
                                 const std::vector<InsertColumn>* mapping) {
+  // Train a stage and swap it in only once every case went in, so a failed
+  // statement leaves the model as it was. The stage is a copy of the
+  // attributes and either a clone of the incremental state or the fresh
+  // model Train returns; the case cache is cut back to its old size.
+  AttributeSet attrs = attrs_;
+  std::unique_ptr<TrainedModel> trained;
+  const size_t cached = case_cache_.size();
+  Status status = TrainStage(reader, mapping, &attrs, &trained);
+  if (!status.ok()) {
+    case_cache_.resize(cached);
+    return status;
+  }
+  attrs_ = std::move(attrs);
+  trained_ = std::move(trained);
+  return Status::OK();
+}
+
+Status MiningModel::TrainStage(RowsetReader* reader,
+                               const std::vector<InsertColumn>* mapping,
+                               AttributeSet* attrs,
+                               std::unique_ptr<TrainedModel>* trained) {
   DMX_ASSIGN_OR_RETURN(
       CaseBinder binder,
       CaseBinder::CreateForTraining(definition_, *reader->schema(), mapping));
@@ -24,7 +68,9 @@ Status MiningModel::InsertCases(RowsetReader* reader,
   if (incremental) {
     Row row;
     DataCase scratch;
-    if (trained_ == nullptr) {
+    if (trained_ != nullptr) {
+      DMX_ASSIGN_OR_RETURN(*trained, trained_->Clone());
+    } else {
       // Bootstrap: buffer a prefix to pin bucket bounds and dictionaries.
       std::vector<Row> bootstrap;
       bootstrap.reserve(kBootstrapCases);
@@ -35,15 +81,15 @@ Status MiningModel::InsertCases(RowsetReader* reader,
         // no reset here.
         DMX_ASSIGN_OR_RETURN(bool has, reader->Next(&row));
         if (!has) break;
-        DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, &attrs_));
+        DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, attrs));
         bootstrap.push_back(std::move(row));
       }
-      DMX_RETURN_IF_ERROR(binder.FinalizeStatistics(&attrs_, first_training));
-      DMX_RETURN_IF_ERROR(service_->ValidateBinding(attrs_));
-      DMX_ASSIGN_OR_RETURN(trained_, service_->CreateEmpty(attrs_, params_));
+      DMX_RETURN_IF_ERROR(binder.FinalizeStatistics(attrs, first_training));
+      DMX_RETURN_IF_ERROR(service_->ValidateBinding(*attrs));
+      DMX_ASSIGN_OR_RETURN(*trained, service_->CreateEmpty(*attrs, params_));
       for (const Row& buffered : bootstrap) {
-        DMX_RETURN_IF_ERROR(binder.BindCaseInto(buffered, &attrs_, &scratch));
-        DMX_RETURN_IF_ERROR(trained_->ConsumeCase(attrs_, scratch));
+        DMX_RETURN_IF_ERROR(binder.BindCaseInto(buffered, attrs, &scratch));
+        DMX_RETURN_IF_ERROR((*trained)->ConsumeCase(*attrs, scratch));
       }
     }
     // Stream the remainder (or, on refresh, the whole caseset) one case at a
@@ -52,9 +98,9 @@ Status MiningModel::InsertCases(RowsetReader* reader,
       DMX_RETURN_IF_ERROR(GuardCheck());
       DMX_ASSIGN_OR_RETURN(bool has, reader->Next(&row));
       if (!has) break;
-      DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, &attrs_));
-      DMX_RETURN_IF_ERROR(binder.BindCaseInto(row, &attrs_, &scratch));
-      DMX_RETURN_IF_ERROR(trained_->ConsumeCase(attrs_, scratch));
+      DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, attrs));
+      DMX_RETURN_IF_ERROR(binder.BindCaseInto(row, attrs, &scratch));
+      DMX_RETURN_IF_ERROR((*trained)->ConsumeCase(*attrs, scratch));
     }
     // dmx-hot-end(insert-stream)
     return Status::OK();
@@ -65,10 +111,10 @@ Status MiningModel::InsertCases(RowsetReader* reader,
   DMX_ASSIGN_OR_RETURN(Rowset rows, reader->ReadAll());
   // dmx-hot-begin(insert-retrain)
   for (const Row& row : rows.rows()) {
-    DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, &attrs_));
+    DMX_RETURN_IF_ERROR(binder.CollectStatistics(row, attrs));
   }
-  DMX_RETURN_IF_ERROR(binder.FinalizeStatistics(&attrs_, first_training));
-  DMX_RETURN_IF_ERROR(service_->ValidateBinding(attrs_));
+  DMX_RETURN_IF_ERROR(binder.FinalizeStatistics(attrs, first_training));
+  DMX_RETURN_IF_ERROR(service_->ValidateBinding(*attrs));
   case_cache_.reserve(case_cache_.size() + rows.num_rows());
   for (const Row& row : rows.rows()) {
     // The case cache is the dominant memory cost of non-incremental training;
@@ -77,7 +123,7 @@ Status MiningModel::InsertCases(RowsetReader* reader,
     // The cache owns each bound case for later retraining, so there is no
     // scratch buffer to reuse.
     DMX_ASSIGN_OR_RETURN(DataCase c,  // dmx-lint: allow(hot-loop-alloc)
-                         binder.BindCase(row, &attrs_));
+                         binder.BindCase(row, attrs));
     case_cache_.push_back(std::move(c));
   }
   // dmx-hot-end(insert-retrain)
@@ -85,7 +131,7 @@ Status MiningModel::InsertCases(RowsetReader* reader,
     return InvalidState() << "INSERT INTO '" << definition_.model_name
                           << "' delivered zero cases";
   }
-  DMX_ASSIGN_OR_RETURN(trained_, service_->Train(attrs_, case_cache_, params_));
+  DMX_ASSIGN_OR_RETURN(*trained, service_->Train(*attrs, case_cache_, params_));
   return Status::OK();
 }
 

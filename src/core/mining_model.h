@@ -13,7 +13,9 @@
 // flag: incremental services consume cases one at a time (after a small
 // bootstrap that fixes DISCRETIZED bucket bounds); non-incremental services
 // keep a training cache inside the model, so repeated INSERT INTO retrains
-// on the union — the model, not the caller, owns refresh.
+// on the union — the model, not the caller, owns refresh. Either way
+// INSERT INTO trains a staged copy and swaps it in only on success, so a
+// failed statement leaves the model as it was, with or without limits.
 
 #ifndef DMX_CORE_MINING_MODEL_H_
 #define DMX_CORE_MINING_MODEL_H_
@@ -26,6 +28,7 @@
 #include "core/case_binder.h"
 #include "core/dmx_ast.h"
 #include "model/mining_service.h"
+#include "model/service_registry.h"
 
 namespace dmx {
 
@@ -38,6 +41,13 @@ class MiningModel {
 
   MiningModel(ModelDefinition definition,
               std::shared_ptr<MiningService> service, ParamMap params);
+
+  /// A new, untrained model for `definition`: resolves its service (an
+  /// unknown one is kNotFound), runs the analyzer with `registry` and
+  /// resolves its parameters. CREATE MINING MODEL, IMPORT and recovery all
+  /// build models here, so they accept exactly the same definitions.
+  static Result<std::unique_ptr<MiningModel>> Create(
+      ModelDefinition definition, const ServiceRegistry& registry);
 
   const ModelDefinition& definition() const { return definition_; }
   const AttributeSet& attributes() const { return attrs_; }
@@ -53,6 +63,8 @@ class MiningModel {
 
   /// Populates / refreshes the model from a caseset stream (INSERT INTO).
   /// `mapping` is the statement's column list (nullptr: bind all by name).
+  /// All or nothing: when any case fails (a bad value, a tripped guard) the
+  /// model keeps its attributes, trained state and case cache.
   Status InsertCases(RowsetReader* reader,
                      const std::vector<InsertColumn>* mapping);
 
@@ -73,6 +85,13 @@ class MiningModel {
   }
 
  private:
+  /// InsertCases' training pass: leaves the trained stage in `*trained`,
+  /// grows `*attrs` and appends to the case cache.
+  Status TrainStage(RowsetReader* reader,
+                    const std::vector<InsertColumn>* mapping,
+                    AttributeSet* attrs,
+                    std::unique_ptr<TrainedModel>* trained);
+
   ModelDefinition definition_;
   std::shared_ptr<MiningService> service_;
   ParamMap params_;

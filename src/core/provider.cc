@@ -390,7 +390,7 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
     // that ownership to the analysis instead of self-deadlocking on it.
     provider_->catalog_mu_.AssertHeld();
     if (read_only) return DispatchRead(*parsed, io);
-    return DispatchWrite(*parsed, command, nullptr, io);
+    return DispatchWrite(*parsed, command, io);
   }
 
   // Admission before locks: a saturated provider rejects (or queues) the
@@ -425,7 +425,7 @@ Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
   }
   Result<Rowset> result = [&]() -> Result<Rowset> {
     AdoptedWriterLock lock(&provider_->catalog_mu_);
-    return DispatchWrite(*parsed, command, guard, io);
+    return DispatchWrite(*parsed, command, io);
   }();
   if (result.ok()) {
     DMX_RETURN_IF_ERROR(FinishStatementIo(io));
@@ -526,7 +526,6 @@ Result<Rowset> Connection::DispatchRead(DmxParseResult& parsed,
 
 Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
                                          const std::string& command,
-                                         const ExecGuard* guard,
                                          StatementIo& io) {
   // Store-wide read-only degraded mode: while the catalog shard is
   // quarantined no mutation can be journaled, so none may execute. Degraded
@@ -565,15 +564,8 @@ Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
     }
     DMX_ASSIGN_OR_RETURN(MiningModel * model,
                          provider_->models_.GetModel(insert->model_name));
-    // A tripping guard can abort training mid-stream, so snapshot enough
-    // state to leave the catalog looking untouched. Unguarded statements
-    // skip the snapshot cost entirely.
-    const bool guarded = guard != nullptr && guard->armed();
-    const bool was_trained = model->is_trained();
-    std::string backup;
-    if (guarded && was_trained) {
-      DMX_ASSIGN_OR_RETURN(backup, SerializeModel(*model));
-    }
+    // InsertCases is all or nothing: a failed statement, guarded or not,
+    // leaves the model as it was.
     Status trained = [&]() -> Status {
       DMX_ASSIGN_OR_RETURN(
           std::unique_ptr<RowsetReader> reader,
@@ -583,20 +575,6 @@ Result<Rowset> Connection::DispatchWrite(DmxParseResult& parsed,
           reader.get(), insert->columns.empty() ? nullptr : &insert->columns);
     }();
     if (!trained.ok()) {
-      if (guarded) {
-        // Unwind: restore the pre-statement model (trained state from the
-        // serialized backup, untrained back to its pristine definition).
-        if (was_trained) {
-          Result<std::unique_ptr<MiningModel>> restored =
-              DeserializeModel(backup, provider_->services_);
-          if (restored.ok()) {
-            (void)provider_->models_.DropModel(insert->model_name);
-            (void)provider_->models_.AdoptModel(std::move(*restored));
-          }
-        } else {
-          (void)model->Reset();
-        }
-      }
       return trained.WithContext("training model '" + insert->model_name +
                                  "'");
     }

@@ -250,8 +250,7 @@ class Connection {
   /// Dispatches one parsed mutating statement (DDL/DML/IMPORT) under the
   /// exclusive lock; journals it to the store on success.
   Result<Rowset> DispatchWrite(DmxParseResult& parsed,
-                               const std::string& command,
-                               const ExecGuard* guard, StatementIo& io)
+                               const std::string& command, StatementIo& io)
       DMX_REQUIRES(provider_->catalog_mu_);
 
   /// Journals one catalog-shard statement — unless this is an internal

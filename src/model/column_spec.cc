@@ -125,107 +125,4 @@ std::string ModelColumn::ToDmx() const {
   return out;
 }
 
-namespace {
-
-const ModelColumn* FindByName(const std::vector<ModelColumn>& columns,
-                              const std::string& name) {
-  for (const ModelColumn& col : columns) {
-    if (EqualsCi(col.name, name)) return &col;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-Status ValidateColumns(const std::vector<ModelColumn>& columns,
-                       bool top_level) {
-  if (columns.empty()) {
-    return InvalidArgument() << "a mining model needs at least one column";
-  }
-  int key_count = 0;
-  for (const ModelColumn& col : columns) {
-    // Duplicate names.
-    int dups = 0;
-    for (const ModelColumn& other : columns) {
-      if (EqualsCi(other.name, col.name)) ++dups;
-    }
-    if (dups > 1) {
-      return InvalidArgument() << "duplicate column name '" << col.name << "'";
-    }
-    switch (col.role) {
-      case ContentRole::kKey:
-        ++key_count;
-        if (col.is_output()) {
-          return InvalidArgument()
-                 << "key column '" << col.name << "' cannot be PREDICT";
-        }
-        break;
-      case ContentRole::kAttribute:
-        if ((col.attr_type == AttributeType::kContinuous ||
-             col.attr_type == AttributeType::kDiscretized ||
-             col.attr_type == AttributeType::kSequenceTime) &&
-            col.data_type == DataType::kText) {
-          return InvalidArgument()
-                 << "column '" << col.name << "': " << "a "
-                 << AttributeTypeToString(col.attr_type)
-                 << " attribute must have a numeric data type";
-        }
-        break;
-      case ContentRole::kRelation: {
-        const ModelColumn* target = FindByName(columns, col.related_to);
-        if (target == nullptr) {
-          return BindError() << "RELATED TO target '" << col.related_to
-                             << "' of column '" << col.name
-                             << "' is not a column at the same level";
-        }
-        if (target->role == ContentRole::kTable) {
-          return InvalidArgument() << "RELATED TO target '" << col.related_to
-                                   << "' cannot be a TABLE column";
-        }
-        break;
-      }
-      case ContentRole::kQualifier: {
-        const ModelColumn* target = FindByName(columns, col.related_to);
-        if (target == nullptr) {
-          return BindError() << "qualifier '" << col.name << "' modifies '"
-                             << col.related_to
-                             << "', which is not a column at the same level";
-        }
-        if (target->role != ContentRole::kAttribute &&
-            target->role != ContentRole::kKey) {
-          return InvalidArgument()
-                 << "qualifier '" << col.name
-                 << "' must modify an attribute or key column";
-        }
-        if (col.data_type == DataType::kText ||
-            col.data_type == DataType::kTable) {
-          return InvalidArgument()
-                 << "qualifier '" << col.name << "' must be numeric";
-        }
-        break;
-      }
-      case ContentRole::kTable: {
-        if (!top_level) {
-          return InvalidArgument()
-                 << "nested table '" << col.name
-                 << "' inside a nested table: only one level of nesting is "
-                    "supported (the paper's casesets are one level deep)";
-        }
-        DMX_RETURN_IF_ERROR(ValidateColumns(col.nested, /*top_level=*/false));
-        break;
-      }
-    }
-  }
-  if (top_level && key_count != 1) {
-    return InvalidArgument()
-           << "a mining model needs exactly one case-level KEY column, got "
-           << key_count;
-  }
-  if (!top_level && key_count != 1) {
-    return InvalidArgument()
-           << "a nested table needs exactly one KEY column, got " << key_count;
-  }
-  return Status::OK();
-}
-
 }  // namespace dmx

@@ -109,11 +109,6 @@ struct ModelColumn {
   std::string ToDmx() const;
 };
 
-/// Structural validation of a column list (one KEY per level, RELATED TO /
-/// OF targets exist, TABLE nesting only one level deep, qualifier types,
-/// ...). `top_level` distinguishes case-level from nested-level rules.
-Status ValidateColumns(const std::vector<ModelColumn>& columns, bool top_level);
-
 }  // namespace dmx
 
 #endif  // DMX_MODEL_COLUMN_SPEC_H_

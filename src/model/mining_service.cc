@@ -9,6 +9,11 @@ Status TrainedModel::ConsumeCase(const AttributeSet& attrs, const DataCase& c) {
                         << "' does not support incremental training";
 }
 
+Result<std::unique_ptr<TrainedModel>> TrainedModel::Clone() const {
+  return NotSupported() << "service '" << service_name()
+                        << "' does not support incremental training";
+}
+
 Result<ParamMap> MiningService::ResolveParams(
     const std::vector<AlgorithmParam>& params) const {
   ParamMap out;

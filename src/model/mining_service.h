@@ -77,6 +77,11 @@ class TrainedModel {
   /// Incremental maintenance: consume one more training case. Default:
   /// NotSupported (the provider falls back to cache-and-retrain).
   virtual Status ConsumeCase(const AttributeSet& attrs, const DataCase& c);
+
+  /// A copy of this state for ConsumeCase to train, so that a failed
+  /// INSERT INTO leaves the original untouched. Default: NotSupported, like
+  /// ConsumeCase.
+  virtual Result<std::unique_ptr<TrainedModel>> Clone() const;
 };
 
 /// \brief A mining algorithm plug-in.

@@ -24,31 +24,6 @@ const ModelColumn* ModelDefinition::KeyColumn() const {
   return nullptr;
 }
 
-Status ModelDefinition::Validate() const {
-  if (model_name.empty()) {
-    return InvalidArgument() << "mining model name is empty";
-  }
-  if (service_name.empty()) {
-    return InvalidArgument() << "mining model '" << model_name
-                             << "' has no USING clause";
-  }
-  DMX_RETURN_IF_ERROR(ValidateColumns(columns, /*top_level=*/true));
-  bool has_output = false;
-  for (const ModelColumn& col : columns) {
-    if (col.is_output()) has_output = true;
-    if (col.is_table()) {
-      for (const ModelColumn& nested : col.nested) {
-        if (nested.is_output()) has_output = true;
-      }
-    }
-  }
-  // Segmentation models legitimately have no PREDICT column; whether one is
-  // required is decided by the service at bind time, so only warn-level
-  // validation happens here.
-  (void)has_output;
-  return Status::OK();
-}
-
 std::string ModelDefinition::ToDmx() const {
   std::string out = "CREATE MINING MODEL " + QuoteIdentifier(model_name) + " (\n";
   for (size_t i = 0; i < columns.size(); ++i) {

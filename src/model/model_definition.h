@@ -42,10 +42,6 @@ struct ModelDefinition {
   /// The case-level KEY column (validated definitions have exactly one).
   const ModelColumn* KeyColumn() const;
 
-  /// Structural validation (delegates to ValidateColumns and checks that at
-  /// least one column or nested table is an output).
-  Status Validate() const;
-
   /// Round-trippable CREATE MINING MODEL text.
   std::string ToDmx() const;
 };

@@ -611,13 +611,8 @@ Result<std::unique_ptr<MiningModel>> DeserializeModel(
   }
   DMX_ASSIGN_OR_RETURN(ModelDefinition definition,
                        ParseCreateMiningModel(definition_element->text()));
-  DMX_ASSIGN_OR_RETURN(std::shared_ptr<MiningService> service,
-                       registry.Find(definition.service_name));
-  DMX_ASSIGN_OR_RETURN(ParamMap params,
-                       service->ResolveParams(definition.parameters));
-  auto model = std::make_unique<MiningModel>(std::move(definition),
-                                             std::move(service),
-                                             std::move(params));
+  DMX_ASSIGN_OR_RETURN(std::unique_ptr<MiningModel> model,
+                       MiningModel::Create(std::move(definition), registry));
   DMX_RETURN_IF_ERROR(ReadAttributeSet(*root, model->mutable_attributes()));
 
   struct Reader {

@@ -28,8 +28,9 @@ namespace dmx {
 /// Serializes a model (trained or not) into a PMML-style XML document.
 Result<std::string> SerializeModel(const MiningModel& model);
 
-/// Reconstructs a model from SerializeModel output. The service is resolved
-/// through `registry` (it must be registered, as for CREATE MINING MODEL).
+/// Reconstructs a model from SerializeModel output. Its definition goes
+/// through MiningModel::Create, the check CREATE MINING MODEL runs, so a
+/// document can carry no definition that CREATE would refuse.
 Result<std::unique_ptr<MiningModel>> DeserializeModel(
     const std::string& document, const ServiceRegistry& registry);
 

@@ -168,25 +168,34 @@ Result<ExprPtr> ParseOr(TokenStream* tokens) {
   return lhs;
 }
 
+// A table name: a plain name, `$system.<rowset>` or `<model>.CONTENT`. For
+// the two dotted forms, which name the provider's read-only tables,
+// `*last_part` receives the part after the dot.
+Result<std::string> ParseTableName(TokenStream* tokens,
+                                   std::string* last_part) {
+  if (tokens->MatchPunct("$")) {
+    DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("SYSTEM"));
+    DMX_RETURN_IF_ERROR(tokens->ExpectPunct("."));
+    DMX_ASSIGN_OR_RETURN(*last_part,
+                         tokens->ExpectIdentifier("system table name"));
+    return "$system." + *last_part;
+  }
+  DMX_ASSIGN_OR_RETURN(std::string name,
+                       tokens->ExpectIdentifier("table name"));
+  if (tokens->Peek().IsPunct(".") && tokens->Peek(1).IsKeyword("CONTENT")) {
+    tokens->Next();
+    *last_part = tokens->Next().text;
+    name += "." + *last_part;
+  }
+  return name;
+}
+
 // table [[AS] alias], where table is a name, `$system.<rowset>` or
 // `<model>.CONTENT` (see TableRef).
 Result<TableRef> ParseTableRef(TokenStream* tokens) {
   TableRef ref;
   ref.span = tokens->Peek().span();
-  if (tokens->MatchPunct("$")) {
-    DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("SYSTEM"));
-    DMX_RETURN_IF_ERROR(tokens->ExpectPunct("."));
-    DMX_ASSIGN_OR_RETURN(ref.alias,
-                         tokens->ExpectIdentifier("system table name"));
-    ref.table = "$system." + ref.alias;
-  } else {
-    DMX_ASSIGN_OR_RETURN(ref.table, tokens->ExpectIdentifier("table name"));
-    if (tokens->Peek().IsPunct(".") && tokens->Peek(1).IsKeyword("CONTENT")) {
-      tokens->Next();
-      ref.alias = tokens->Next().text;
-      ref.table += "." + ref.alias;
-    }
-  }
+  DMX_ASSIGN_OR_RETURN(ref.table, ParseTableName(tokens, &ref.alias));
   if (tokens->MatchKeyword("AS")) {
     DMX_ASSIGN_OR_RETURN(ref.alias, tokens->ExpectIdentifier("table alias"));
   } else if (tokens->Peek().kind == TokenKind::kIdentifier &&
@@ -217,7 +226,7 @@ Result<CreateTableStatement> ParseCreateTable(TokenStream* tokens) {
 Result<InsertStatement> ParseInsert(TokenStream* tokens) {
   InsertStatement stmt;
   DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("INTO"));
-  DMX_ASSIGN_OR_RETURN(stmt.table, tokens->ExpectIdentifier("table name"));
+  DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens));
   if (tokens->MatchPunct("(")) {
     while (true) {
       DMX_ASSIGN_OR_RETURN(std::string col,
@@ -248,6 +257,15 @@ Result<InsertStatement> ParseInsert(TokenStream* tokens) {
 }  // namespace
 
 Result<ExprPtr> ParseExpression(TokenStream* tokens) { return ParseOr(tokens); }
+
+Result<std::string> ParseWriteTarget(TokenStream* tokens) {
+  std::string last_part;
+  DMX_ASSIGN_OR_RETURN(std::string name, ParseTableName(tokens, &last_part));
+  if (!last_part.empty()) {
+    return InvalidArgument() << "table '" << name << "' is read-only";
+  }
+  return name;
+}
 
 Result<SelectStatement> ParseSelectFrom(TokenStream* tokens) {
   DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("SELECT"));
@@ -340,11 +358,11 @@ Result<SqlStatement> ParseSqlFrom(TokenStream* tokens) {
     out = std::move(stmt);
   } else if (tokens->MatchKeywords({"DROP", "TABLE"})) {
     DropTableStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.name, tokens->ExpectIdentifier("table name"));
+    DMX_ASSIGN_OR_RETURN(stmt.name, ParseWriteTarget(tokens));
     out = std::move(stmt);
   } else if (tokens->MatchKeywords({"DELETE", "FROM"})) {
     DeleteStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.table, tokens->ExpectIdentifier("table name"));
+    DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens));
     if (tokens->MatchKeyword("WHERE")) {
       DMX_ASSIGN_OR_RETURN(stmt.where, ParseOr(tokens));
     }

@@ -30,6 +30,11 @@ Result<SelectStatement> ParseSelectFrom(TokenStream* tokens);
 /// Parses a scalar expression (exposed for tests and embedding grammars).
 Result<ExprPtr> ParseExpression(TokenStream* tokens);
 
+/// Parses the table a write names (INSERT INTO, DELETE FROM, DROP TABLE,
+/// DMX DELETE FROM). It reads the dotted forms a SELECT's FROM reads and
+/// refuses them: `$system.<rowset>` and `<model>.CONTENT` are read-only.
+Result<std::string> ParseWriteTarget(TokenStream* tokens);
+
 }  // namespace dmx::rel
 
 #endif  // DMX_RELATIONAL_SQL_PARSER_H_

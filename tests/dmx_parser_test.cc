@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dmx_analyzer.h"
 #include "relational/sql_parser.h"
 
 namespace dmx {
@@ -108,7 +109,7 @@ TEST(CreateModelTest, ParsesThePaperExample) {
   EXPECT_EQ(def->columns[3].nested[1].distribution, DistributionHint::kNormal);
   EXPECT_EQ(def->columns[3].nested[2].role, ContentRole::kRelation);
   EXPECT_EQ(def->columns[3].nested[2].related_to, "Product Name");
-  EXPECT_TRUE(def->Validate().ok());
+  EXPECT_TRUE(DmxAnalyzer().AnalyzeDefinition(*def).ok());
 }
 
 TEST(CreateModelTest, FullColumnVocabulary) {
@@ -171,48 +172,29 @@ TEST(CreateModelTest, PrintReparseFixpoint) {
   }
 }
 
+// Definitions that parse but that the analyzer refuses. The DefinitionRules
+// table in dmx_analyzer_test.cc has a row for each other rule; these two
+// targets are TABLE columns, which no row there names.
 TEST(CreateModelTest, ValidationErrors) {
-  // Two case-level keys.
-  auto two_keys = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (a LONG KEY, b LONG KEY, c TEXT DISCRETE "
-      "PREDICT) USING Naive_Bayes");
-  ASSERT_TRUE(two_keys.ok());
-  EXPECT_FALSE(two_keys->Validate().ok());
-  // No key.
-  auto no_key = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (c TEXT DISCRETE PREDICT) USING Naive_Bayes");
-  ASSERT_TRUE(no_key.ok());
-  EXPECT_FALSE(no_key->Validate().ok());
-  // RELATED TO a missing column.
-  auto bad_rel = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (k LONG KEY, r TEXT DISCRETE RELATED TO ghost, "
-      "c TEXT DISCRETE PREDICT) USING Naive_Bayes");
-  ASSERT_TRUE(bad_rel.ok());
-  EXPECT_TRUE(bad_rel->Validate().IsBindError());
-  // Qualifier of a missing column.
-  auto bad_qual = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (k LONG KEY, p DOUBLE PROBABILITY OF ghost, "
-      "c TEXT DISCRETE PREDICT) USING Naive_Bayes");
-  ASSERT_TRUE(bad_qual.ok());
-  EXPECT_TRUE(bad_qual->Validate().IsBindError());
-  // Continuous TEXT column.
-  auto bad_type = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (k LONG KEY, c TEXT CONTINUOUS PREDICT) "
-      "USING Naive_Bayes");
-  ASSERT_TRUE(bad_type.ok());
-  EXPECT_FALSE(bad_type->Validate().ok());
-  // Duplicate names.
-  auto dup = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (k LONG KEY, x TEXT DISCRETE, x TEXT DISCRETE "
-      "PREDICT) USING Naive_Bayes");
-  ASSERT_TRUE(dup.ok());
-  EXPECT_FALSE(dup->Validate().ok());
-  // PREDICT on the key.
-  auto key_predict = ParseCreateMiningModel(
-      "CREATE MINING MODEL m (k LONG KEY PREDICT, x TEXT DISCRETE) "
-      "USING Naive_Bayes");
-  ASSERT_TRUE(key_predict.ok());
-  EXPECT_FALSE(key_predict->Validate().ok());
+  const struct {
+    const char* dmx;
+    const char* rule;
+  } kCases[] = {
+      {"CREATE MINING MODEL m (k LONG KEY, t TABLE (ik TEXT KEY), "
+       "r TEXT DISCRETE RELATED TO t, c TEXT DISCRETE PREDICT) "
+       "USING Naive_Bayes",
+       rules::kRelatedToTarget},
+      {"CREATE MINING MODEL m (k LONG KEY, t TABLE (ik TEXT KEY), "
+       "p DOUBLE PROBABILITY OF t, c TEXT DISCRETE PREDICT) USING Naive_Bayes",
+       rules::kQualifierTarget},
+  };
+  for (const auto& c : kCases) {
+    auto def = ParseCreateMiningModel(c.dmx);
+    ASSERT_TRUE(def.ok()) << c.dmx << "\n" << def.status().ToString();
+    AnalysisReport report = DmxAnalyzer().AnalyzeDefinition(*def);
+    EXPECT_FALSE(report.ok()) << c.dmx;
+    EXPECT_TRUE(report.HasRule(c.rule)) << c.dmx << "\n" << report.ToString();
+  }
 }
 
 TEST(CreateModelTest, SyntaxErrors) {

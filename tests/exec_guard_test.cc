@@ -15,6 +15,7 @@
 #include "core/admission.h"
 #include "core/provider.h"
 #include "datagen/warehouse.h"
+#include "pmml/pmml.h"
 
 namespace dmx {
 namespace {
@@ -25,7 +26,6 @@ namespace {
 
 TEST(ExecGuardTest, UnarmedGuardNeverTrips) {
   ExecGuard guard{ExecLimits{}};
-  EXPECT_FALSE(guard.armed());
   EXPECT_TRUE(guard.Check().ok());
   EXPECT_TRUE(guard.ChargeOutputRows(1 << 20).ok());
   EXPECT_TRUE(guard.ChargeWorkingSet(1 << 20).ok());
@@ -35,7 +35,6 @@ TEST(ExecGuardTest, CancelTokenTripsCheck) {
   ExecLimits limits;
   limits.cancel = std::make_shared<CancelToken>();
   ExecGuard guard(limits);
-  EXPECT_TRUE(guard.armed());
   EXPECT_TRUE(guard.Check().ok());
   limits.cancel->Cancel();
   Status s = guard.Check();
@@ -46,7 +45,6 @@ TEST(ExecGuardTest, DeadlineTripsAfterExpiry) {
   ExecLimits limits;
   limits.deadline_ms = 1;
   ExecGuard guard(limits);
-  EXPECT_TRUE(guard.armed());
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   Status s = guard.Check();
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
@@ -427,6 +425,86 @@ TEST_P(GuardedServiceTest, CancelMidRefreshRestoresPreviousModel) {
     for (size_t c = 0; c < before->num_columns(); ++c) {
       EXPECT_TRUE(before->at(r, c).Equals(after->at(r, c)))
           << sc.name << " row " << r << " col " << c;
+    }
+  }
+}
+
+// The kServices definition with a SUPPORT OF column added.
+std::string WithSupportColumn(const char* create) {
+  std::string out = create;
+  out.insert(out.rfind(") USING"),
+             ",\n[Weight] DOUBLE SUPPORT OF [Customer ID]");
+  return out;
+}
+
+// The kServices training statement with a SUPPORT weight that turns
+// negative on the last 20 of the 120 customers: binding fails only after
+// 100 cases went in.
+std::string WithLateNegativeWeight(const char* insert) {
+  std::string out = insert;
+  const std::string select = "SELECT [Customer ID]";
+  out.insert(out.find(select) + select.size(),
+             ", 100 - [Customer ID] AS [Weight]");
+  return out;
+}
+
+// What a failed statement must leave as it was: the model's PMML and the
+// cases it keeps for retraining.
+std::string ModelState(Provider* provider) {
+  auto model = provider->models()->GetModel("P");
+  if (!model.ok()) return model.status().ToString();
+  auto pmml = SerializeModel(**model);
+  if (!pmml.ok()) return pmml.status().ToString();
+  return *pmml + "\ncached_cases=" + std::to_string((*model)->cached_cases());
+}
+
+// A failed INSERT INTO changes nothing, with or without limits and on an
+// untrained or a trained model; the next INSERT then trains as if the
+// failed one never ran.
+TEST_P(GuardedServiceTest, FailedInsertLeavesModelUnchanged) {
+  const ServiceCase& sc = kServices[GetParam()];
+  const std::string create = WithSupportColumn(sc.create);
+  const std::string failing = WithLateNegativeWeight(sc.insert);
+  for (bool guarded : {false, true}) {
+    for (bool trained : {false, true}) {
+      SCOPED_TRACE(std::string(sc.name) +
+                   (guarded ? " guarded" : " unguarded") +
+                   (trained ? " trained" : " untrained"));
+      // `run` sees the failed INSERT; `reference` never does.
+      Provider run;
+      Provider reference;
+      datagen::WarehouseConfig config;
+      config.num_customers = 120;
+      ASSERT_TRUE(datagen::PopulateWarehouse(run.database(), config).ok());
+      ASSERT_TRUE(
+          datagen::PopulateWarehouse(reference.database(), config).ok());
+      auto conn = run.Connect();
+      auto reference_conn = reference.Connect();
+      if (guarded) {
+        ExecLimits limits;
+        limits.cancel = std::make_shared<CancelToken>();
+        conn->set_limits(limits);
+      }
+      for (Connection* c : {conn.get(), reference_conn.get()}) {
+        auto created = c->Execute(create);
+        ASSERT_TRUE(created.ok()) << created.status().ToString();
+        if (trained) {
+          auto inserted = c->Execute(sc.insert);
+          ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+        }
+      }
+      const std::string before = ModelState(&run);
+
+      auto failed = conn->Execute(failing);
+      ASSERT_FALSE(failed.ok()) << failing;
+      EXPECT_TRUE(failed.status().IsInvalidArgument())
+          << failed.status().ToString();
+      EXPECT_EQ(ModelState(&run), before);
+
+      auto next = conn->Execute(sc.insert);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      ASSERT_TRUE(reference_conn->Execute(sc.insert).ok());
+      EXPECT_EQ(ModelState(&run), ModelState(&reference));
     }
   }
 }

@@ -126,6 +126,27 @@ TEST(FuzzRegressionTest, SystemTableSeedsExecute) {
   EXPECT_GE(seeds, 4u);
 }
 
+// The insert-fails-mid-stream seed reaches the failure it is named for:
+// its INSERT INTO [W] binds cases before one with a negative SUPPORT weight,
+// so the oracle checks a failure that comes after training began.
+TEST(FuzzRegressionTest, InsertFailsMidStreamSeedFails) {
+  size_t seeds = 0;
+  for (const auto& [name, data] : LoadInputs("corpus", "dmx_statement")) {
+    if (name != "insert-fails-mid-stream") continue;
+    ++seeds;
+    Provider provider;
+    fuzz::PopulateFuzzCatalog(&provider);
+    auto result = provider.Connect()->Execute(data);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("negative SUPPORT weight -1"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  EXPECT_EQ(seeds, 1u);
+}
+
 // Statements drawn from the grammar, a share of them with key ranges on
 // People.Id, through the ordered-scan oracle over one fuzz catalog.
 TEST(FuzzRegressionTest, GeneratedSelectsMatchFullScans) {

@@ -257,6 +257,42 @@ TEST(PmmlTest, UntrainedModelsSerializeDefinitionsOnly) {
   EXPECT_EQ((*loaded)->definition().model_name, "P");
 }
 
+// IMPORT runs the check CREATE runs: a document whose definition lost its
+// only case-level KEY is refused, with the same rule CREATE names.
+TEST(PmmlTest, ImportRefusesWhatCreateRefuses) {
+  Provider provider;
+  auto conn = provider.Connect();
+  ASSERT_TRUE(conn->Execute(kServices[0].create).ok());
+  auto model = provider.models()->GetModel("P");
+  ASSERT_TRUE(model.ok());
+  auto document = SerializeModel(**model);
+  ASSERT_TRUE(document.ok());
+  auto without_key = [](std::string text) {
+    const std::string key = "[Customer ID] LONG KEY";
+    const size_t at = text.find(key);
+    if (at != std::string::npos) {
+      text.replace(at, key.size(), "[Customer ID] LONG DISCRETE");
+    }
+    return text;
+  };
+  const std::string edited = without_key(*document);
+  ASSERT_NE(edited, *document);
+
+  auto loaded = DeserializeModel(edited, *provider.services());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("key-count"), std::string::npos)
+      << loaded.status().ToString();
+
+  ASSERT_TRUE(conn->Execute("DROP MINING MODEL [P]").ok());
+  auto created = conn->Execute(without_key(kServices[0].create));
+  ASSERT_FALSE(created.ok());
+  EXPECT_TRUE(created.status().IsInvalidArgument());
+  EXPECT_NE(created.status().message().find("key-count"), std::string::npos)
+      << created.status().ToString();
+}
+
 TEST(PmmlTest, ErrorPaths) {
   Provider provider;
   EXPECT_TRUE(DeserializeModel("<NotPMML/>", *provider.services())

@@ -184,6 +184,27 @@ TEST(WireCodecTest, NestedSchemaAndTableValueRoundTrip) {
   EXPECT_TRUE(chunk2->rows[0][1].is_table());
 }
 
+// A TABLE column built without a nested schema goes out with an empty one;
+// the decoded schema still equals the original.
+TEST(WireCodecTest, TableColumnWithoutNestedSchemaRoundTrips) {
+  auto outer = Schema::Make({ColumnDef("id", DataType::kLong),
+                             ColumnDef("basket", DataType::kTable)});
+  ASSERT_EQ(outer->columns()[1].nested, nullptr);
+
+  SchemaBody body;
+  body.request_id = 1;
+  body.schema = outer;
+  auto decoded = DecodeSchemaBody(EncodeSchemaBody(body));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->schema->Equals(*outer));
+  EXPECT_TRUE(outer->Equals(*decoded->schema));
+  // A nested column still tells the two apart.
+  auto with_item = Schema::Make(
+      {ColumnDef("id", DataType::kLong),
+       ColumnDef("basket", Schema::Make({{"item", DataType::kText}}))});
+  EXPECT_FALSE(with_item->Equals(*decoded->schema));
+}
+
 TEST(WireCodecTest, FrameReaderRejectsCorruptionAndHugeLengths) {
   // A flipped payload byte fails the CRC.
   {
