@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "common/env.h"
+#include "common/string_util.h"
 #include "store/store.h"
 
 namespace dmx {
@@ -51,7 +52,7 @@ void BuildStore(const std::string& dir, int models) {
   std::string insert = "INSERT INTO Train VALUES ";
   for (int r = 0; r < 240; ++r) {
     if (r > 0) insert += ", ";
-    insert += "(" + std::to_string(r);
+    insert += StrCat("(", std::to_string(r));
     for (int c = 0; c < 5; ++c) {
       insert += ", " + std::to_string(((r * 7 + c * 13) % 97) / 9.7);
     }
@@ -62,7 +63,7 @@ void BuildStore(const std::string& dir, int models) {
   // big enough that deserializing it is the dominant per-shard cost — the
   // work the recovery scan pool parallelizes.
   for (int m = 0; m < models; ++m) {
-    const std::string name = "R" + std::to_string(m);
+    const std::string name = StrCat("R", std::to_string(m));
     bench::MustExecute(conn.get(),
                        "CREATE MINING MODEL [" + name +
                            "] ([K] LONG KEY, [F0] DOUBLE CONTINUOUS, "

@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/string_util.h"
 #include "common/tokenizer.h"
 #include "core/dmx_analyzer.h"
 #include "core/dmx_parser.h"
 #include "core/mining_model.h"
+#include "core/prediction_join.h"
 #include "core/provider.h"
 #include "pmml/pmml.h"
 #include "relational/database.h"
@@ -447,6 +449,85 @@ std::string TableContents(Provider* provider) {
 
 /// What a failed statement must leave as it was: every table's rows and
 /// every model's PMML and training cache.
+// Appends to `paths` every column path in `expr` that binds to a column of
+// the model `join` reads (a bare name binds to the model first).
+void CollectModelColumns(const DmxExpr& expr,
+                         const PredictionJoinStatement& join,
+                         const ModelDefinition& def,
+                         std::vector<std::vector<std::string>>* paths) {
+  if (expr.kind == DmxExpr::Kind::kColumnPath &&
+      def.FindColumn(expr.path.back()) != nullptr &&
+      (expr.path.size() == 1 ||
+       (expr.path.size() == 2 && EqualsCi(expr.path[0], def.model_name) &&
+        !(!join.source_alias.empty() &&
+          EqualsCi(expr.path[0], join.source_alias))))) {
+    paths->push_back(expr.path);
+  }
+  for (const DmxExpr& arg : expr.args) {
+    CollectModelColumns(arg, join, def, paths);
+  }
+}
+
+// Demand-vs-full oracle: a PREDICTION JOIN that succeeded, executed again
+// with a PredictHistogram of every model column its items and WHERE
+// operands read appended, must return its own columns unchanged. The added
+// items make the scorer rank every candidate of each target, so what a
+// statement reads never changes what it gets. FLATTENED statements are
+// left out: an added table column would unnest into more rows.
+CheckResult CheckFullDemand(Provider* provider,
+                            const PredictionJoinStatement& join) {
+  if (join.flattened) return CheckResult::Pass();
+  auto model = provider->models()->GetModel(join.model_name);
+  if (!model.ok()) return CheckResult::Pass();
+  std::vector<std::vector<std::string>> paths;
+  for (const DmxSelectItem& item : join.items) {
+    CollectModelColumns(item.expr, join, (*model)->definition(), &paths);
+  }
+  for (const DmxFilter& filter : join.where) {
+    CollectModelColumns(filter.lhs, join, (*model)->definition(), &paths);
+    CollectModelColumns(filter.rhs, join, (*model)->definition(), &paths);
+  }
+  if (paths.empty()) return CheckResult::Pass();
+  PredictionJoinStatement widened = join;
+  for (std::vector<std::string>& path : paths) {
+    DmxExpr histogram;
+    histogram.kind = DmxExpr::Kind::kFunction;
+    histogram.function = "PredictHistogram";
+    histogram.args.emplace_back();
+    histogram.args.back().path = std::move(path);
+    widened.items.push_back(
+        {std::move(histogram),
+         "$full demand " + std::to_string(widened.items.size())});
+  }
+  auto narrow = ExecutePredictionJoin(*provider->database(), provider->models(),
+                                      join);
+  auto full = ExecutePredictionJoin(*provider->database(), provider->models(),
+                                    widened);
+  if (!narrow.ok() || !full.ok()) {
+    return CheckResult::Fail(
+        "prediction join failed when re-executed (" +
+        (narrow.ok() ? full.status() : narrow.status()).ToString() +
+        (narrow.ok() ? ") with its histograms" : ")"));
+  }
+  if (full->rows().size() != narrow->rows().size()) {
+    return CheckResult::Fail("full demand returned " +
+                             std::to_string(full->rows().size()) +
+                             " rows, not " +
+                             std::to_string(narrow->rows().size()));
+  }
+  for (size_t r = 0; r < narrow->rows().size(); ++r) {
+    for (size_t c = 0; c < narrow->rows()[r].size(); ++c) {
+      if (!SameCell(narrow->rows()[r][c], full->rows()[r][c])) {
+        return CheckResult::Fail(
+            "full demand changed row " + std::to_string(r) + " column " +
+            std::to_string(c) + " from " + narrow->rows()[r][c].ToString() +
+            " to " + full->rows()[r][c].ToString());
+      }
+    }
+  }
+  return CheckResult::Pass();
+}
+
 std::string CatalogContents(Provider* provider) {
   std::string out = TableContents(provider);
   std::vector<std::string> models = provider->models()->ListModels();
@@ -513,6 +594,14 @@ CheckResult CheckDmxStatement(std::string_view text) {
                              std::string(StatusCodeToString(exec_code)) +
                              " (" + result.status().ToString() +
                              ") for: " + statement);
+  }
+  const auto* join =
+      result.ok() && parsed.ok() && parsed->statement.has_value()
+          ? std::get_if<PredictionJoinStatement>(&*parsed->statement)
+          : nullptr;
+  if (join != nullptr) {
+    CheckResult full = CheckFullDemand(&provider, *join);
+    if (!full.ok) return CheckResult::Fail(full.error + ": " + statement);
   }
 
   if (report.error_count() == 0) {

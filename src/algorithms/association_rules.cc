@@ -60,104 +60,130 @@ std::string AssociationModel::ItemName(const AttributeSet& attrs,
   return attr.name + " = '" + attr.StateName(item.state) + "'";
 }
 
-Result<CasePrediction> AssociationModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
-  // dmx-hot-begin(ar-predict)
-  DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  // Intern the case's items (only ones the model has seen matter).
-  std::unordered_map<Item, int, ItemHash> lookup;
-  for (size_t id = 0; id < items_.size(); ++id) lookup.emplace(items_[id], id);
+namespace {
 
-  size_t case_items = attrs.attributes.size();
-  for (const auto& group_items : input.groups) case_items += group_items.size();
-  std::vector<int> transaction;
-  transaction.reserve(case_items);
-  for (size_t g = 0; g < attrs.groups.size(); ++g) {
-    for (const CaseItem& entry : input.groups[g]) {
-      Item item{static_cast<int>(g), -1, entry.key};
-      auto it = lookup.find(item);
-      if (it != lookup.end()) transaction.push_back(it->second);
+// Recommends items for each demanded output group: the best applicable rule
+// per item, then a popularity fallback. The item interning table is built
+// once per statement.
+class AssociationScorer : public CaseScorer {
+ public:
+  AssociationScorer(const AssociationModel& model, const AttributeSet& attrs,
+                    const PredictionDemand& demand)
+      : model_(model), attrs_(attrs) {
+    const std::vector<AssociationModel::Item>& items = model.items();
+    for (size_t id = 0; id < items.size(); ++id) {
+      lookup_.emplace(items[id], static_cast<int>(id));
     }
-  }
-  for (size_t a = 0; a < attrs.attributes.size(); ++a) {
-    const Attribute& attr = attrs.attributes[a];
-    if (!attr.is_input || attr.is_continuous) continue;
-    double v = input.values[a];
-    if (IsMissing(v)) continue;
-    Item item{-1, static_cast<int>(a), static_cast<int>(v)};
-    auto it = lookup.find(item);
-    if (it != lookup.end()) transaction.push_back(it->second);
-  }
-  std::sort(transaction.begin(), transaction.end());
-  transaction.erase(std::unique(transaction.begin(), transaction.end()),
-                    transaction.end());
-
-  // Rank candidate items for every output group. `best_rule` maps item id to
-  // the best applicable rule and is reused across groups.
-  std::unordered_map<int, const Rule*> best_rule;
-  for (size_t g = 0; g < attrs.groups.size(); ++g) {
-    const NestedGroup& group = attrs.groups[g];
-    if (!group.is_output) continue;
-    best_rule.clear();
-    for (const Rule& rule : rules_) {
-      const Item& target = items_[rule.consequent];
-      if (target.group != static_cast<int>(g)) continue;
-      if (std::binary_search(transaction.begin(), transaction.end(),
-                             rule.consequent)) {
-        continue;  // Already owned.
+    for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+      const TargetDemand& want = demand.targets[slot];
+      if (want.target.kind != PredictionTarget::Kind::kGroup ||
+          want.target.index < 0 ||
+          !attrs.groups[static_cast<size_t>(want.target.index)].is_output) {
+        continue;
       }
-      if (!IsSubset(rule.antecedent, transaction)) continue;
-      auto [it, inserted] = best_rule.emplace(rule.consequent, &rule);
-      if (!inserted && rule.confidence > it->second->confidence) {
-        it->second = &rule;
+      targets_.push_back({slot, want.histogram, want.target.index});
+    }
+    // Each known item once, before duplicates are dropped.
+    transaction_.reserve(items.size());
+  }
+
+  Status Score(const DataCase& input,
+               std::span<TargetPrediction> out) override {
+    // dmx-hot-begin(ar-predict)
+    DMX_RETURN_IF_ERROR(GuardCheck());
+    if (targets_.empty()) return Status::OK();
+    const std::vector<AssociationModel::Item>& items = model_.items();
+    // Intern the case's items (only ones the model has seen matter).
+    transaction_.clear();
+    for (size_t g = 0; g < attrs_.groups.size(); ++g) {
+      for (const CaseItem& entry : input.groups[g]) {
+        AssociationModel::Item item{static_cast<int>(g), -1, entry.key};
+        auto it = lookup_.find(item);
+        if (it != lookup_.end()) transaction_.push_back(it->second);
       }
     }
-    AttributePrediction prediction;
-    prediction.histogram.reserve(best_rule.size());
-    for (const auto& [item_id, rule] : best_rule) {
-      ScoredValue sv;
-      const Item& item = items_[item_id];
-      sv.value = group.keys[item.state];
-      sv.state = item.state;
-      sv.probability = rule->confidence;
-      sv.support = rule->support;
-      prediction.histogram.push_back(std::move(sv));
+    for (size_t a = 0; a < attrs_.attributes.size(); ++a) {
+      const Attribute& attr = attrs_.attributes[a];
+      if (!attr.is_input || attr.is_continuous) continue;
+      double v = input.values[a];
+      if (IsMissing(v)) continue;
+      AssociationModel::Item item{-1, static_cast<int>(a),
+                                  static_cast<int>(v)};
+      auto it = lookup_.find(item);
+      if (it != lookup_.end()) transaction_.push_back(it->second);
     }
-    // Popularity fallback so every case gets recommendations: frequent
-    // singleton items of this group, scored by their marginal probability
-    // scaled below any rule-based score.
-    if (case_count_ > 0) {
-      for (const Itemset& itemset : itemsets_) {
-        if (itemset.items.size() != 1) continue;
-        const Item& item = items_[itemset.items[0]];
-        if (item.group != static_cast<int>(g)) continue;
-        if (std::binary_search(transaction.begin(), transaction.end(),
-                               itemset.items[0])) {
-          continue;
+    std::sort(transaction_.begin(), transaction_.end());
+    transaction_.erase(std::unique(transaction_.begin(), transaction_.end()),
+                       transaction_.end());
+
+    // `best_rule` maps item id to the best applicable rule and is reused
+    // across groups; its iteration order ranks equal-confidence items.
+    std::unordered_map<int, const AssociationModel::Rule*> best_rule;
+    for (const Target& t : targets_) {
+      TargetPrediction& prediction = out[t.slot];
+      prediction.Reset();
+      best_rule.clear();
+      for (const AssociationModel::Rule& rule : model_.rules()) {
+        if (items[rule.consequent].group != t.group) continue;
+        if (std::binary_search(transaction_.begin(), transaction_.end(),
+                               rule.consequent)) {
+          continue;  // Already owned.
         }
-        if (best_rule.count(itemset.items[0]) > 0) continue;
-        ScoredValue sv;
-        sv.value = group.keys[item.state];
-        sv.state = item.state;
-        sv.probability = 0.01 * itemset.support / case_count_;
-        sv.support = itemset.support;
-        prediction.histogram.push_back(std::move(sv));
+        if (!IsSubset(rule.antecedent, transaction_)) continue;
+        auto [it, inserted] = best_rule.emplace(rule.consequent, &rule);
+        if (!inserted && rule.confidence > it->second->confidence) {
+          it->second = &rule;
+        }
       }
+      for (const auto& [item_id, rule] : best_rule) {
+        prediction.Offer(
+            {items[item_id].state, rule->confidence, rule->support, 0},
+            t.ranked);
+      }
+      // Popularity fallback so every case gets recommendations: frequent
+      // singleton items of this group, scored by their marginal probability
+      // scaled below any rule-based score.
+      if (model_.case_count() > 0) {
+        for (const AssociationModel::Itemset& itemset : model_.itemsets()) {
+          if (itemset.items.size() != 1) continue;
+          const AssociationModel::Item& item = items[itemset.items[0]];
+          if (item.group != t.group) continue;
+          if (std::binary_search(transaction_.begin(), transaction_.end(),
+                                 itemset.items[0])) {
+            continue;
+          }
+          if (best_rule.count(itemset.items[0]) > 0) continue;
+          prediction.Offer({item.state,
+                            0.01 * itemset.support / model_.case_count(),
+                            itemset.support, 0},
+                           t.ranked);
+        }
+      }
+      prediction.Finish(t.ranked);
     }
-    std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                     [](const ScoredValue& a, const ScoredValue& b) {
-                       return a.probability > b.probability;
-                     });
-    if (!prediction.histogram.empty()) {
-      prediction.predicted = prediction.histogram[0].value;
-      prediction.probability = prediction.histogram[0].probability;
-      prediction.support = prediction.histogram[0].support;
-    }
-    out.targets.emplace(group.name, std::move(prediction));
+    // dmx-hot-end(ar-predict)
+    return Status::OK();
   }
-  // dmx-hot-end(ar-predict)
-  return out;
+
+ private:
+  struct Target {
+    size_t slot;
+    bool ranked;
+    int group;
+  };
+  const AssociationModel& model_;
+  const AttributeSet& attrs_;
+  std::unordered_map<AssociationModel::Item, int, ItemHash> lookup_;
+  std::vector<Target> targets_;
+  std::vector<int> transaction_;  ///< The case's item ids, reused.
+};
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> AssociationModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<AssociationScorer>(*this, attrs, demand));
 }
 
 Result<ContentNodePtr> AssociationModel::BuildContent(

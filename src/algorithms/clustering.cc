@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "algorithms/likelihood.h"
 #include "common/exec_guard.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -12,15 +13,6 @@ namespace dmx {
 namespace {
 
 const std::string kServiceName = "Clustering";
-
-constexpr double kMinVariance = 1e-6;
-constexpr size_t kMaxFullBernoulli = 512;
-
-double LogGaussian(double x, double mean, double variance) {
-  variance = std::max(variance, kMinVariance);
-  double d = x - mean;
-  return -0.5 * (std::log(2 * M_PI * variance) + d * d / variance);
-}
 
 // Log-likelihood of `c` under one cluster's component distributions.
 double ClusterLogLikelihood(const ClusteringModel::ClusterStats& cluster,
@@ -35,9 +27,9 @@ double ClusterLogLikelihood(const ClusteringModel::ClusterStats& cluster,
     if (attr.is_continuous) {
       auto it = cluster.cont_stats.find(static_cast<int>(a));
       if (it != cluster.cont_stats.end() && it->second.weight > 0) {
-        ll += LogGaussian(v, it->second.mean, it->second.variance());
+        ll += LogGaussian(it->second.mean, it->second.variance())(v);
       } else {
-        ll += LogGaussian(v, 0, 1e6);
+        ll += LogGaussian(0, kVagueVariance)(v);
       }
     } else {
       double card = std::max(1, attr.cardinality());
@@ -48,7 +40,8 @@ double ClusterLogLikelihood(const ClusteringModel::ClusterStats& cluster,
           static_cast<size_t>(state) < it->second.size()) {
         count = it->second[state];
       }
-      ll += std::log((count + alpha) / (cluster.weight + alpha * card));
+      ll += std::log(
+          SmoothedStateProbability(count, cluster.weight, alpha, card));
     }
   }
   for (size_t g = 0; g < attrs.groups.size(); ++g) {
@@ -67,11 +60,11 @@ double ClusterLogLikelihood(const ClusteringModel::ClusterStats& cluster,
       if (it != cluster.group_counts.end() && item < it->second.size()) {
         count = it->second[item];
       }
-      double p = (count + alpha) / (cluster.weight + 2 * alpha);
+      double p = SmoothedItemProbability(count, cluster.weight, alpha);
       if (present[item]) {
         ll += std::log(p);
       } else if (full) {
-        ll += std::log1p(-std::min(p, 1 - 1e-12));
+        ll += LogItemAbsent(p);
       }
     }
   }
@@ -82,145 +75,308 @@ double ClusterLogLikelihood(const ClusteringModel::ClusterStats& cluster,
 
 ClusteringModel::ClusteringModel(std::vector<ClusterStats> clusters,
                                  double case_count, double alpha)
-    : clusters_(std::move(clusters)), case_count_(case_count), alpha_(alpha) {
-  cluster_names_.reserve(clusters_.size());
-  for (size_t i = 0; i < clusters_.size(); ++i) {
-    cluster_names_.push_back(Value::Text("Cluster " + std::to_string(i + 1)));
-  }
-}
+    : clusters_(std::move(clusters)), case_count_(case_count), alpha_(alpha) {}
 
 const std::string& ClusteringModel::service_name() const {
   return kServiceName;
 }
 
-std::vector<double> ClusteringModel::Responsibilities(const AttributeSet& attrs,
-                                                      const DataCase& c,
-                                                      bool use_outputs) const {
+namespace {
+
+// Scores the targets a statement reads through the mixture posterior over
+// the clusters. The model-constant log terms of each cluster's likelihood
+// (priors, categorical conditionals, Bernoulli item terms) live in one
+// table filled on first read; each case sums them per cluster in the order
+// ClusterLogLikelihood does, so the responsibilities are bit-identical.
+class ClusteringScorer : public CaseScorer {
+ public:
+  ClusteringScorer(const ClusteringModel& model, const AttributeSet& attrs,
+                   const PredictionDemand& demand);
+
+  Status Score(const DataCase& input, std::span<TargetPrediction> out) override;
+
+ private:
+  using ClusterStats = ClusteringModel::ClusterStats;
+
+  // One input attribute, in attribute order; per-cluster entries.
+  struct AttributeInput {
+    size_t attribute = 0;
+    bool continuous = false;
+    // Continuous: the Gaussian per cluster (the vague one where a cluster
+    // has no moments).
+    std::vector<LogGaussian> gaussians;
+    // Categorical: where the log conditionals [cluster * states + state]
+    // start in terms_.
+    size_t states = 0;
+    double card = 1;
+    size_t terms = 0;
+  };
+  // One input nested group: where its Bernoulli terms [cluster * items +
+  // item] for present and absent items start in terms_.
+  struct GroupInput {
+    size_t group = 0;
+    size_t items = 0;
+    bool full = false;
+    size_t present = 0, absent = 0;
+  };
+  // One demanded PREDICT attribute: its per-cluster statistics.
+  struct Target {
+    size_t slot = 0;
+    bool ranked = false;
+    bool continuous = false;
+    int card = 1;
+    std::vector<const ClusterStats::Moments*> moments;
+    std::vector<const std::vector<double>*> counts;
+  };
+
+  double CategoricalTerm(const AttributeInput& in, size_t cluster,
+                         size_t state) const;
+  double ItemProbability(const GroupInput& in, size_t cluster,
+                         size_t item) const;
+  void PredictAttribute(const Target& t, TargetPrediction* prediction);
+
+  const std::vector<ClusterStats>& clusters_;
+  double alpha_;
+  std::vector<double> log_prior_;
+  std::vector<AttributeInput> attributes_;
+  std::vector<GroupInput> groups_;
+  LogTermTable terms_;
+  std::vector<Target> targets_;
+  int membership_slot_ = -1;
+  bool membership_ranked_ = false;
+  // Per-case scratch, reused: log-likelihoods turned responsibilities, the
+  // present-item mask and per-state mixture sums.
+  std::vector<double> resp_;
+  std::vector<char> present_;
+  std::vector<double> probs_, supports_;
+};
+
+ClusteringScorer::ClusteringScorer(const ClusteringModel& model,
+                                   const AttributeSet& attrs,
+                                   const PredictionDemand& demand)
+    : clusters_(model.clusters()), alpha_(model.alpha()) {
   const size_t k = clusters_.size();
-  std::vector<double> log_post(k);
   double total_weight = 0;
   for (const ClusterStats& cluster : clusters_) total_weight += cluster.weight;
   for (size_t i = 0; i < k; ++i) {
-    double prior = (clusters_[i].weight + alpha_) /
-                   (total_weight + alpha_ * static_cast<double>(k));
-    log_post[i] = std::log(prior) +
-                  ClusterLogLikelihood(clusters_[i], attrs, c, use_outputs,
-                                       alpha_);
+    log_prior_.push_back(std::log(SmoothedStateProbability(
+        clusters_[i].weight, total_weight, alpha_, static_cast<double>(k))));
   }
-  double max_log = *std::max_element(log_post.begin(), log_post.end());
+  size_t terms = 0;
+  for (size_t a = 0; a < attrs.attributes.size(); ++a) {
+    const Attribute& attr = attrs.attributes[a];
+    if (!attr.is_input) continue;
+    AttributeInput in;
+    in.attribute = a;
+    in.continuous = attr.is_continuous;
+    if (attr.is_continuous) {
+      for (const ClusterStats& cluster : clusters_) {
+        auto it = cluster.cont_stats.find(static_cast<int>(a));
+        const bool fitted =
+            it != cluster.cont_stats.end() && it->second.weight > 0;
+        in.gaussians.push_back(
+            fitted ? LogGaussian(it->second.mean, it->second.variance())
+                   : LogGaussian(0, kVagueVariance));
+      }
+    } else {
+      in.states = static_cast<size_t>(std::max(1, attr.cardinality()));
+      in.card = std::max(1, attr.cardinality());
+      in.terms = terms;
+      terms += k * in.states;
+    }
+    attributes_.push_back(std::move(in));
+  }
+  for (size_t g = 0; g < attrs.groups.size(); ++g) {
+    const NestedGroup& group = attrs.groups[g];
+    if (!group.is_input) continue;
+    GroupInput in;
+    in.group = g;
+    in.items = group.keys.size();
+    in.full = group.keys.size() <= kMaxFullBernoulli;
+    in.present = terms;
+    terms += k * in.items;
+    if (in.full) {
+      in.absent = terms;
+      terms += k * in.items;
+    }
+    groups_.push_back(std::move(in));
+  }
+  terms_.Reset(terms);
+  for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+    const TargetDemand& want = demand.targets[slot];
+    if (want.target.kind == PredictionTarget::Kind::kCluster) {
+      membership_slot_ = static_cast<int>(slot);
+      membership_ranked_ = want.histogram;
+      continue;
+    }
+    if (want.target.kind != PredictionTarget::Kind::kAttribute ||
+        want.target.index < 0 ||
+        !attrs.attributes[static_cast<size_t>(want.target.index)].is_output) {
+      continue;
+    }
+    const int index = want.target.index;
+    const Attribute& attr = attrs.attributes[static_cast<size_t>(index)];
+    Target t;
+    t.slot = slot;
+    t.ranked = want.histogram;
+    t.continuous = attr.is_continuous;
+    t.card = std::max(1, attr.cardinality());
+    for (const ClusterStats& cluster : clusters_) {
+      auto moments = cluster.cont_stats.find(index);
+      t.moments.push_back(moments == cluster.cont_stats.end() ? nullptr
+                                                              : &moments->second);
+      auto counts = cluster.cat_counts.find(index);
+      t.counts.push_back(counts == cluster.cat_counts.end() ? nullptr
+                                                            : &counts->second);
+    }
+    targets_.push_back(std::move(t));
+  }
+}
+
+double ClusteringScorer::CategoricalTerm(const AttributeInput& in,
+                                         size_t cluster, size_t state) const {
+  const ClusterStats& stats = clusters_[cluster];
+  double count = 0;
+  auto it = stats.cat_counts.find(static_cast<int>(in.attribute));
+  if (it != stats.cat_counts.end() && state < it->second.size()) {
+    count = it->second[state];
+  }
+  return std::log(
+      SmoothedStateProbability(count, stats.weight, alpha_, in.card));
+}
+
+double ClusteringScorer::ItemProbability(const GroupInput& in, size_t cluster,
+                                         size_t item) const {
+  const ClusterStats& stats = clusters_[cluster];
+  double count = 0;
+  auto it = stats.group_counts.find(static_cast<int>(in.group));
+  if (it != stats.group_counts.end() && item < it->second.size()) {
+    count = it->second[item];
+  }
+  return SmoothedItemProbability(count, stats.weight, alpha_);
+}
+
+// Mixture-posterior prediction of one PREDICT attribute from resp_.
+void ClusteringScorer::PredictAttribute(const Target& t,
+                                        TargetPrediction* prediction) {
+  const size_t k = clusters_.size();
+  if (t.continuous) {
+    double mean = 0;
+    double second_moment = 0;
+    double support = 0;
+    for (size_t i = 0; i < k; ++i) {
+      const ClusterStats::Moments* m = t.moments[i];
+      if (m == nullptr) continue;
+      mean += resp_[i] * m->mean;
+      second_moment += resp_[i] * (m->variance() + m->mean * m->mean);
+      support += resp_[i] * m->weight;
+    }
+    prediction->SetEstimate(mean, support,
+                            std::max(0.0, second_moment - mean * mean),
+                            t.ranked);
+    return;
+  }
+  probs_.assign(static_cast<size_t>(t.card), 0.0);
+  supports_.assign(static_cast<size_t>(t.card), 0.0);
+  for (size_t i = 0; i < k; ++i) {
+    const std::vector<double>* counts = t.counts[i];
+    for (int state = 0; state < t.card; ++state) {
+      double count = 0;
+      if (counts != nullptr && static_cast<size_t>(state) < counts->size()) {
+        count = (*counts)[state];
+      }
+      probs_[state] += resp_[i] * (count + alpha_) /
+                       (clusters_[i].weight + alpha_ * t.card);
+      supports_[state] += resp_[i] * count;
+    }
+  }
+  for (int state = 0; state < t.card; ++state) {
+    if (probs_[state] <= 0) continue;
+    prediction->Offer({state, probs_[state], supports_[state], 0}, t.ranked);
+  }
+  prediction->Finish(t.ranked);
+}
+
+Status ClusteringScorer::Score(const DataCase& input,
+                               std::span<TargetPrediction> out) {
+  // dmx-hot-begin(clu-predict)
+  DMX_RETURN_IF_ERROR(GuardCheck());
+  const size_t k = clusters_.size();
+  // Each cluster's log-likelihood, summed as ClusterLogLikelihood sums it.
+  resp_.assign(k, 0.0);
+  for (const AttributeInput& in : attributes_) {
+    double v = input.values[in.attribute];
+    if (IsMissing(v)) continue;
+    if (in.continuous) {
+      for (size_t i = 0; i < k; ++i) resp_[i] += in.gaussians[i](v);
+      continue;
+    }
+    size_t state = static_cast<size_t>(v);
+    for (size_t i = 0; i < k; ++i) {
+      resp_[i] += state < in.states
+                      ? terms_.Term(in.terms + i * in.states + state,
+                                    [&] { return CategoricalTerm(in, i, state); })
+                      : CategoricalTerm(in, i, state);
+    }
+  }
+  for (const GroupInput& in : groups_) {
+    present_.assign(in.items, 0);
+    for (const CaseItem& item : input.groups[in.group]) {
+      if (item.key >= 0 && static_cast<size_t>(item.key) < in.items) {
+        present_[item.key] = 1;
+      }
+    }
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t item = 0; item < in.items; ++item) {
+        const size_t at = i * in.items + item;
+        if (present_[item]) {
+          resp_[i] += terms_.Term(in.present + at, [&] {
+            return std::log(ItemProbability(in, i, item));
+          });
+        } else if (in.full) {
+          resp_[i] += terms_.Term(in.absent + at, [&] {
+            return LogItemAbsent(ItemProbability(in, i, item));
+          });
+        }
+      }
+    }
+  }
+  // Posterior P(cluster | case).
+  for (size_t i = 0; i < k; ++i) resp_[i] = log_prior_[i] + resp_[i];
+  double max_log = *std::max_element(resp_.begin(), resp_.end());
   double norm = 0;
-  for (double& lp : log_post) {
+  for (double& lp : resp_) {
     lp = std::exp(lp - max_log);
     norm += lp;
   }
   if (norm > 0) {
-    for (double& lp : log_post) lp /= norm;
+    for (double& lp : resp_) lp /= norm;
   }
-  return log_post;
-}
 
-Result<CasePrediction> ClusteringModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
-  // dmx-hot-begin(clu-predict)
-  DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  std::vector<double> resp = Responsibilities(attrs, input,
-                                              /*use_outputs=*/false);
-
-  // Cluster membership pseudo-target.
-  AttributePrediction membership;
-  membership.histogram.reserve(clusters_.size());
-  for (size_t i = 0; i < clusters_.size(); ++i) {
-    ScoredValue sv;
-    sv.value = cluster_names_[i];
-    sv.state = static_cast<int>(i);
-    sv.probability = resp[i];
-    sv.support = clusters_[i].weight;
-    membership.histogram.push_back(std::move(sv));
-  }
-  std::stable_sort(membership.histogram.begin(), membership.histogram.end(),
-                   [](const ScoredValue& a, const ScoredValue& b) {
-                     return a.probability > b.probability;
-                   });
-  if (!membership.histogram.empty()) {
-    membership.predicted = membership.histogram[0].value;
-    membership.probability = membership.histogram[0].probability;
-    membership.support = membership.histogram[0].support;
-    membership.cluster_id = static_cast<int>(
-        std::max_element(resp.begin(), resp.end()) - resp.begin());
-  }
-  out.targets.emplace(kClusterTarget, std::move(membership));
-
-  // Mixture-posterior predictions for PREDICT columns. The per-state scratch
-  // is shared across targets; assign() resizes without shrinking.
-  std::vector<double> probs;
-  std::vector<double> supports;
-  for (int target : attrs.OutputAttributeIndices()) {
-    const Attribute& attr = attrs.attributes[static_cast<size_t>(target)];
-    AttributePrediction prediction;
-    if (attr.is_continuous) {
-      double mean = 0;
-      double second_moment = 0;
-      double support = 0;
-      for (size_t i = 0; i < clusters_.size(); ++i) {
-        auto it = clusters_[i].cont_stats.find(target);
-        if (it == clusters_[i].cont_stats.end()) continue;
-        mean += resp[i] * it->second.mean;
-        second_moment += resp[i] * (it->second.variance() +
-                                    it->second.mean * it->second.mean);
-        support += resp[i] * it->second.weight;
-      }
-      prediction.predicted = Value::Double(mean);
-      prediction.probability = 1.0;
-      prediction.variance = std::max(0.0, second_moment - mean * mean);
-      prediction.support = support;
-      ScoredValue sv;
-      sv.value = prediction.predicted;
-      sv.probability = 1.0;
-      sv.support = support;
-      sv.variance = prediction.variance;
-      prediction.histogram.push_back(std::move(sv));
-    } else {
-      int card = std::max(1, attr.cardinality());
-      probs.assign(card, 0.0);
-      supports.assign(card, 0.0);
-      for (size_t i = 0; i < clusters_.size(); ++i) {
-        auto it = clusters_[i].cat_counts.find(target);
-        for (int state = 0; state < card; ++state) {
-          double count = 0;
-          if (it != clusters_[i].cat_counts.end() &&
-              static_cast<size_t>(state) < it->second.size()) {
-            count = it->second[state];
-          }
-          probs[state] += resp[i] * (count + alpha_) /
-                          (clusters_[i].weight + alpha_ * card);
-          supports[state] += resp[i] * count;
-        }
-      }
-      for (int state = 0; state < card; ++state) {
-        if (probs[state] <= 0) continue;
-        ScoredValue sv;
-        sv.value = attr.StateValue(state);
-        sv.state = state;
-        sv.probability = probs[state];
-        sv.support = supports[state];
-        prediction.histogram.push_back(std::move(sv));
-      }
-      std::stable_sort(prediction.histogram.begin(),
-                       prediction.histogram.end(),
-                       [](const ScoredValue& a, const ScoredValue& b) {
-                         return a.probability > b.probability;
-                       });
-      if (!prediction.histogram.empty()) {
-        prediction.predicted = prediction.histogram[0].value;
-        prediction.probability = prediction.histogram[0].probability;
-        prediction.support = prediction.histogram[0].support;
-      }
+  if (membership_slot_ >= 0) {
+    TargetPrediction& membership = out[static_cast<size_t>(membership_slot_)];
+    membership.Reset();
+    for (size_t i = 0; i < k; ++i) {
+      membership.Offer({static_cast<int>(i), resp_[i], clusters_[i].weight, 0},
+                       membership_ranked_);
     }
-    out.targets.emplace(attr.name, std::move(prediction));
+    membership.Finish(membership_ranked_);
+  }
+  for (const Target& t : targets_) {
+    TargetPrediction& prediction = out[t.slot];
+    prediction.Reset();
+    PredictAttribute(t, &prediction);
   }
   // dmx-hot-end(clu-predict)
-  return out;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> ClusteringModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<ClusteringScorer>(*this, attrs, demand));
 }
 
 Result<ContentNodePtr> ClusteringModel::BuildContent(
@@ -395,9 +551,9 @@ Result<std::unique_ptr<TrainedModel>> ClusteringService::Train(
       if ((i & 255) == 0) DMX_RETURN_IF_ERROR(GuardCheck());
       double max_log = -std::numeric_limits<double>::infinity();
       for (size_t j = 0; j < num_clusters; ++j) {
-        double prior =
-            (clusters[j].weight + alpha) /
-            (total_weight + alpha * static_cast<double>(num_clusters));
+        double prior = SmoothedStateProbability(
+            clusters[j].weight, total_weight, alpha,
+            static_cast<double>(num_clusters));
         log_like[j] = std::log(prior) +
                       ClusterLogLikelihood(clusters[j], attrs, cases[i],
                                            /*use_outputs=*/true, alpha);

@@ -21,10 +21,6 @@
 
 namespace dmx {
 
-/// Pseudo-target name under which cluster membership predictions are filed
-/// in a CasePrediction (read by the Cluster* UDFs).
-inline constexpr const char* kClusterTarget = "$CLUSTER";
-
 /// \brief Trained mixture model.
 class ClusteringModel : public TrainedModel {
  public:
@@ -47,15 +43,12 @@ class ClusteringModel : public TrainedModel {
   const std::string& service_name() const override;
   double case_count() const override { return case_count_; }
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input) const override;
+  /// Scores cluster membership (PredictionTarget::Kind::kCluster, read by
+  /// the Cluster* UDFs) and any PREDICT attribute.
+  Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const AttributeSet& attrs, const PredictionDemand& demand) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
-
-  /// Posterior P(cluster | case) over non-missing *input* attributes.
-  std::vector<double> Responsibilities(const AttributeSet& attrs,
-                                       const DataCase& c,
-                                       bool use_outputs) const;
 
   const std::vector<ClusterStats>& clusters() const { return clusters_; }
   std::vector<ClusterStats>& mutable_clusters() { return clusters_; }
@@ -63,9 +56,6 @@ class ClusteringModel : public TrainedModel {
 
  private:
   std::vector<ClusterStats> clusters_;
-  /// "Cluster <i+1>" labels, formatted once — Predict emits one per cluster
-  /// for every scored case.
-  std::vector<Value> cluster_names_;
   double case_count_ = 0;
   double alpha_;
 };

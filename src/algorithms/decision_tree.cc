@@ -385,62 +385,77 @@ const std::string& DecisionTreeModel::service_name() const {
   return kServiceName;
 }
 
-Result<CasePrediction> DecisionTreeModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
-  CasePrediction out;
-  // dmx-hot-begin(dt-predict)
-  for (const TargetTree& tree : trees_) {
-    DMX_RETURN_IF_ERROR(GuardCheck());
-    const Attribute& target = attrs.attributes[tree.target];
-    AttributePrediction prediction;
-    if (tree.nodes.empty()) {
-      out.targets.emplace(target.name, std::move(prediction));
-      continue;
-    }
-    // Walk to a leaf.
-    int node = 0;
-    while (!tree.nodes[node].is_leaf()) {
-      node = tree.nodes[node].split.Test(input)
-                 ? tree.nodes[node].then_child
-                 : tree.nodes[node].else_child;
-    }
-    const Node& leaf = tree.nodes[node];
-    prediction.support = leaf.support;
-    if (tree.regression) {
-      prediction.predicted = Value::Double(leaf.mean);
-      prediction.probability = 1.0;
-      prediction.variance = leaf.variance;
-      ScoredValue sv;
-      sv.value = prediction.predicted;
-      sv.probability = 1.0;
-      sv.support = leaf.support;
-      sv.variance = leaf.variance;
-      prediction.histogram.push_back(std::move(sv));
-    } else {
-      prediction.histogram.reserve(leaf.class_counts.size());
-      for (size_t cls = 0; cls < leaf.class_counts.size(); ++cls) {
-        double p = leaf.support > 0 ? leaf.class_counts[cls] / leaf.support : 0;
-        if (p <= 0) continue;
-        ScoredValue sv;
-        sv.value = target.StateValue(static_cast<int>(cls));
-        sv.state = static_cast<int>(cls);
-        sv.probability = p;
-        sv.support = leaf.class_counts[cls];
-        prediction.histogram.push_back(std::move(sv));
-      }
-      std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                       [](const ScoredValue& a, const ScoredValue& b) {
-                         return a.probability > b.probability;
-                       });
-      if (!prediction.histogram.empty()) {
-        prediction.predicted = prediction.histogram[0].value;
-        prediction.probability = prediction.histogram[0].probability;
+namespace {
+
+// Walks each demanded target's tree to a leaf and reports the leaf.
+class DecisionTreeScorer : public CaseScorer {
+ public:
+  DecisionTreeScorer(const DecisionTreeModel& model,
+                     const PredictionDemand& demand) {
+    for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+      const TargetDemand& want = demand.targets[slot];
+      if (want.target.kind != PredictionTarget::Kind::kAttribute) continue;
+      for (const DecisionTreeModel::TargetTree& tree : model.trees()) {
+        if (tree.target != want.target.index) continue;
+        targets_.push_back({slot, want.histogram, &tree});
+        break;
       }
     }
-    out.targets.emplace(target.name, std::move(prediction));
   }
-  // dmx-hot-end(dt-predict)
-  return out;
+
+  Status Score(const DataCase& input,
+               std::span<TargetPrediction> out) override {
+    // dmx-hot-begin(dt-predict)
+    for (const Target& t : targets_) {
+      DMX_RETURN_IF_ERROR(GuardCheck());
+      const DecisionTreeModel::TargetTree& tree = *t.tree;
+      TargetPrediction& prediction = out[t.slot];
+      prediction.Reset();
+      if (tree.nodes.empty()) continue;
+      // Walk to a leaf.
+      int node = 0;
+      while (!tree.nodes[node].is_leaf()) {
+        node = tree.nodes[node].split.Test(input)
+                   ? tree.nodes[node].then_child
+                   : tree.nodes[node].else_child;
+      }
+      const DecisionTreeModel::Node& leaf = tree.nodes[node];
+      if (tree.regression) {
+        prediction.SetEstimate(leaf.mean, leaf.support, leaf.variance,
+                               t.ranked);
+      } else {
+        for (size_t cls = 0; cls < leaf.class_counts.size(); ++cls) {
+          double p =
+              leaf.support > 0 ? leaf.class_counts[cls] / leaf.support : 0;
+          if (p <= 0) continue;
+          prediction.Offer(
+              {static_cast<int>(cls), p, leaf.class_counts[cls], 0}, t.ranked);
+        }
+        prediction.Finish(t.ranked);
+      }
+      // The leaf's support, not the winning class's.
+      prediction.support = leaf.support;
+    }
+    // dmx-hot-end(dt-predict)
+    return Status::OK();
+  }
+
+ private:
+  struct Target {
+    size_t slot;
+    bool ranked;
+    const DecisionTreeModel::TargetTree* tree;
+  };
+  std::vector<Target> targets_;
+};
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> DecisionTreeModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  (void)attrs;
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<DecisionTreeScorer>(*this, demand));
 }
 
 namespace {

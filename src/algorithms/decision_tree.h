@@ -70,8 +70,8 @@ class DecisionTreeModel : public TrainedModel {
   const std::string& service_name() const override;
   double case_count() const override { return case_count_; }
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input) const override;
+  Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const AttributeSet& attrs, const PredictionDemand& demand) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

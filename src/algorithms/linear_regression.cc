@@ -89,24 +89,25 @@ const std::string& LinearRegressionModel::service_name() const {
   return kServiceName;
 }
 
-std::vector<double> LinearRegressionModel::FeatureVector(
-    const DataCase& c) const {
-  std::vector<double> x(features_.size(), 0.0);
+void LinearRegressionModel::FeatureVector(const DataCase& c,
+                                          std::vector<double>* x) const {
+  x->assign(features_.size(), 0.0);
   for (size_t f = 0; f < features_.size(); ++f) {
     const Feature& feature = features_[f];
     switch (feature.kind) {
       case Feature::Kind::kIntercept:
-        x[f] = 1.0;
+        (*x)[f] = 1.0;
         break;
       case Feature::Kind::kContinuous: {
         double v = c.values[feature.attribute];
-        x[f] = IsMissing(v) ? 0.0 : v;
+        (*x)[f] = IsMissing(v) ? 0.0 : v;
         break;
       }
       case Feature::Kind::kCategory: {
         double v = c.values[feature.attribute];
-        x[f] = (!IsMissing(v) && static_cast<int>(v) == feature.state) ? 1.0
-                                                                       : 0.0;
+        (*x)[f] = (!IsMissing(v) && static_cast<int>(v) == feature.state)
+                      ? 1.0
+                      : 0.0;
         break;
       }
       case Feature::Kind::kItem: {
@@ -114,7 +115,7 @@ std::vector<double> LinearRegressionModel::FeatureVector(
             static_cast<size_t>(feature.group) < c.groups.size()) {
           for (const CaseItem& entry : c.groups[feature.group]) {
             if (entry.key == feature.item) {
-              x[f] = 1.0;
+              (*x)[f] = 1.0;
               break;
             }
           }
@@ -123,7 +124,6 @@ std::vector<double> LinearRegressionModel::FeatureVector(
       }
     }
   }
-  return x;
 }
 
 Result<std::unique_ptr<TrainedModel>> LinearRegressionModel::Clone() const {
@@ -138,7 +138,8 @@ Result<std::unique_ptr<TrainedModel>> LinearRegressionModel::Clone() const {
 Status LinearRegressionModel::ConsumeCase(const AttributeSet& attrs,
                                           const DataCase& c) {
   (void)attrs;
-  std::vector<double> x = FeatureVector(c);
+  std::vector<double> x;
+  FeatureVector(c, &x);
   const size_t f = features_.size();
   case_count_ += c.weight;
   for (TargetRegression& reg : targets_) {
@@ -193,33 +194,63 @@ Status LinearRegressionModel::Solve(const TargetRegression& reg) const {
   return Status::OK();
 }
 
-Result<CasePrediction> LinearRegressionModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
-  // dmx-hot-begin(lr-predict)
-  DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  std::vector<double> x = FeatureVector(input);
-  for (const TargetRegression& reg : targets_) {
-    DMX_RETURN_IF_ERROR(Solve(reg));
-    double y = 0;
-    for (size_t i = 0; i < x.size(); ++i) y += reg.coefficients[i] * x[i];
-    AttributePrediction prediction;
-    prediction.histogram.reserve(1);
-    prediction.predicted = Value::Double(y);
-    prediction.probability = 1.0;
-    prediction.variance = reg.residual_variance;
-    prediction.support = reg.weight_sum;
-    ScoredValue sv;
-    sv.value = prediction.predicted;
-    sv.probability = 1.0;
-    sv.support = reg.weight_sum;
-    sv.variance = reg.residual_variance;
-    prediction.histogram.push_back(std::move(sv));
-    out.targets.emplace(attrs.attributes[reg.target].name,
-                        std::move(prediction));
+namespace {
+
+// Applies each demanded target's solved regression to the case's features.
+class LinearRegressionScorer : public CaseScorer {
+ public:
+  LinearRegressionScorer(const LinearRegressionModel& model,
+                         const PredictionDemand& demand)
+      : model_(model) {
+    for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+      const TargetDemand& want = demand.targets[slot];
+      if (want.target.kind != PredictionTarget::Kind::kAttribute) continue;
+      for (const LinearRegressionModel::TargetRegression& reg :
+           model.targets()) {
+        if (reg.target != want.target.index) continue;
+        targets_.push_back({slot, want.histogram, &reg});
+        break;
+      }
+    }
   }
-  // dmx-hot-end(lr-predict)
-  return out;
+
+  Status Score(const DataCase& input,
+               std::span<TargetPrediction> out) override {
+    // dmx-hot-begin(lr-predict)
+    DMX_RETURN_IF_ERROR(GuardCheck());
+    model_.FeatureVector(input, &x_);
+    for (const Target& t : targets_) {
+      const LinearRegressionModel::TargetRegression& reg = *t.reg;
+      DMX_RETURN_IF_ERROR(model_.Solve(reg));
+      double y = 0;
+      for (size_t i = 0; i < x_.size(); ++i) y += reg.coefficients[i] * x_[i];
+      TargetPrediction& prediction = out[t.slot];
+      prediction.Reset();
+      prediction.SetEstimate(y, reg.weight_sum, reg.residual_variance,
+                             t.ranked);
+    }
+    // dmx-hot-end(lr-predict)
+    return Status::OK();
+  }
+
+ private:
+  struct Target {
+    size_t slot;
+    bool ranked;
+    const LinearRegressionModel::TargetRegression* reg;
+  };
+  const LinearRegressionModel& model_;
+  std::vector<Target> targets_;
+  std::vector<double> x_;  ///< The case's features, reused.
+};
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> LinearRegressionModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  (void)attrs;
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<LinearRegressionScorer>(*this, demand));
 }
 
 Result<ContentNodePtr> LinearRegressionModel::BuildContent(

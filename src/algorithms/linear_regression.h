@@ -53,8 +53,8 @@ class LinearRegressionModel : public TrainedModel {
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
   Result<std::unique_ptr<TrainedModel>> Clone() const override;
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input) const override;
+  Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const AttributeSet& attrs, const PredictionDemand& demand) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 
@@ -64,15 +64,15 @@ class LinearRegressionModel : public TrainedModel {
   double ridge_lambda() const { return ridge_lambda_; }
   void set_case_count(double n) { case_count_ = n; }
 
-  /// Assembles a case's feature vector (missing continuous inputs impute 0;
-  /// indicator features answer 0/1).
-  std::vector<double> FeatureVector(const DataCase& c) const;
+  /// Assembles a case's feature vector into `x` (missing continuous inputs
+  /// impute 0; indicator features answer 0/1).
+  void FeatureVector(const DataCase& c, std::vector<double>* x) const;
 
- private:
   /// Solves the ridge normal equations for a target (cached until the next
   /// ConsumeCase).
   Status Solve(const TargetRegression& reg) const;
 
+ private:
   std::vector<Feature> features_;
   std::vector<TargetRegression> targets_;
   double ridge_lambda_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "algorithms/likelihood.h"
 #include "common/exec_guard.h"
 
 namespace dmx {
@@ -10,18 +11,6 @@ namespace dmx {
 namespace {
 
 const std::string kServiceName = "Naive_Bayes";
-
-// Items per nested group above which the Bernoulli likelihood only scores
-// present items (full absent-item products get too expensive and too sharp).
-constexpr size_t kMaxFullBernoulli = 512;
-
-constexpr double kMinVariance = 1e-6;
-
-double LogGaussian(double x, double mean, double variance) {
-  variance = std::max(variance, kMinVariance);
-  double d = x - mean;
-  return -0.5 * (std::log(2 * M_PI * variance) + d * d / variance);
-}
 
 // Grows a 2-D count table so [cls][state] is addressable.
 void EnsureSize(std::vector<std::vector<double>>* table, size_t classes,
@@ -117,134 +106,255 @@ Status NaiveBayesModel::ConsumeCase(const AttributeSet& attrs,
   return Status::OK();
 }
 
-Result<CasePrediction> NaiveBayesModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
+namespace {
+
+// Scores the targets a statement reads. The model-constant log terms (class
+// priors, categorical conditionals, Bernoulli item terms) live in one table
+// per target, filled on first read. A case's posterior must not depend on which terms
+// were filled before it, so every case adds the terms in one fixed order:
+// prior, input attributes in attribute order, then nested groups in group
+// order and their items in item order.
+class NaiveBayesScorer : public CaseScorer {
+ public:
+  NaiveBayesScorer(const NaiveBayesModel& model, const AttributeSet& attrs,
+                   const PredictionDemand& demand);
+
+  Status Score(const DataCase& input, std::span<TargetPrediction> out) override;
+
+ private:
+  // One input attribute of one target, in attribute order.
+  struct AttributeInput {
+    size_t attribute = 0;
+    bool continuous = false;
+    // Continuous: per class, the Gaussian (the vague one for classes
+    // without moments).
+    std::vector<LogGaussian> gaussians;
+    // Categorical: counts[cls][state], the state count, and where the log
+    // conditionals [cls * states + state] start in the target's terms.
+    const std::vector<std::vector<double>>* counts = nullptr;
+    size_t states = 0;
+    double card = 1;
+    size_t terms = 0;
+  };
+  // One input nested group of one target: where its Bernoulli terms
+  // [cls * items + item] for present and absent items start in the
+  // target's terms.
+  struct GroupInput {
+    size_t group = 0;
+    const std::vector<std::vector<double>>* counts = nullptr;
+    size_t items = 0;
+    bool full = false;
+    size_t present = 0, absent = 0;
+  };
+  struct Target {
+    size_t slot = 0;
+    bool ranked = false;
+    const NaiveBayesModel::TargetStats* stats = nullptr;
+    size_t num_classes = 0;
+    std::vector<double> log_prior;
+    std::vector<AttributeInput> attributes;
+    std::vector<GroupInput> groups;
+    LogTermTable terms;
+  };
+
+  double CategoricalTerm(const AttributeInput& in, Target* target, size_t cls,
+                         size_t state);
+  double ItemProbability(const GroupInput& in, const Target& target,
+                         size_t cls, size_t item) const;
+
+  double alpha_;
+  std::vector<Target> targets_;
+  // Per-case scratch, reused: log posteriors and the present-item mask.
+  std::vector<double> log_post_;
+  std::vector<char> present_;
+};
+
+NaiveBayesScorer::NaiveBayesScorer(const NaiveBayesModel& model,
+                                   const AttributeSet& attrs,
+                                   const PredictionDemand& demand)
+    : alpha_(model.alpha()) {
+  const double alpha = alpha_;
+  for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+    const TargetDemand& want = demand.targets[slot];
+    if (want.target.kind != PredictionTarget::Kind::kAttribute) continue;
+    for (const NaiveBayesModel::TargetStats& stats : model.targets()) {
+      if (stats.target != want.target.index) continue;
+      Target t;
+      t.slot = slot;
+      t.ranked = want.histogram;
+      t.stats = &stats;
+      const Attribute& target = attrs.attributes[stats.target];
+      t.num_classes = std::max<size_t>(
+          stats.class_counts.size(), static_cast<size_t>(target.cardinality()));
+      double total = 0;
+      for (double n : stats.class_counts) total += n;
+      size_t terms = 0;
+      t.log_prior.resize(t.num_classes);
+      for (size_t cls = 0; cls < t.num_classes; ++cls) {
+        double prior = cls < stats.class_counts.size()
+                           ? stats.class_counts[cls]
+                           : 0.0;
+        t.log_prior[cls] = std::log(SmoothedStateProbability(
+            prior, total, alpha, static_cast<double>(t.num_classes)));
+      }
+      for (size_t a = 0; a < attrs.attributes.size(); ++a) {
+        const Attribute& attr = attrs.attributes[a];
+        if (!attr.is_input || static_cast<int>(a) == stats.target) continue;
+        AttributeInput in;
+        in.attribute = a;
+        in.continuous = attr.is_continuous;
+        if (attr.is_continuous) {
+          auto it = stats.cont_stats.find(static_cast<int>(a));
+          if (it == stats.cont_stats.end()) continue;
+          for (size_t cls = 0; cls < t.num_classes; ++cls) {
+            const bool fitted =
+                cls < it->second.size() && it->second[cls].weight > 0;
+            in.gaussians.push_back(
+                fitted ? LogGaussian(it->second[cls].mean,
+                                     it->second[cls].variance())
+                       : LogGaussian(0, kVagueVariance));
+          }
+        } else {
+          auto it = stats.cat_counts.find(static_cast<int>(a));
+          if (it == stats.cat_counts.end()) continue;
+          in.counts = &it->second;
+          in.states = static_cast<size_t>(std::max(1, attr.cardinality()));
+          in.card = std::max(1, attr.cardinality());
+          in.terms = terms;
+          terms += t.num_classes * in.states;
+        }
+        t.attributes.push_back(std::move(in));
+      }
+      for (size_t g = 0; g < attrs.groups.size(); ++g) {
+        const NestedGroup& group = attrs.groups[g];
+        if (!group.is_input) continue;
+        auto it = stats.group_counts.find(static_cast<int>(g));
+        if (it == stats.group_counts.end()) continue;
+        GroupInput in;
+        in.group = g;
+        in.counts = &it->second;
+        in.items = group.keys.size();
+        in.full = group.keys.size() <= kMaxFullBernoulli;
+        in.present = terms;
+        terms += t.num_classes * in.items;
+        if (in.full) {
+          in.absent = terms;
+          terms += t.num_classes * in.items;
+        }
+        t.groups.push_back(std::move(in));
+      }
+      t.terms.Reset(terms);
+      targets_.push_back(std::move(t));
+      break;
+    }
+  }
+}
+
+double NaiveBayesScorer::CategoricalTerm(const AttributeInput& in,
+                                         Target* target, size_t cls,
+                                         size_t state) {
+  auto compute = [&] {
+    double count = 0;
+    double class_total = 0;
+    if (cls < in.counts->size()) {
+      const auto& row = (*in.counts)[cls];
+      if (state < row.size()) count = row[state];
+      for (double n : row) class_total += n;
+    }
+    return std::log(
+        SmoothedStateProbability(count, class_total, alpha_, in.card));
+  };
+  if (state >= in.states) return compute();
+  return target->terms.Term(in.terms + cls * in.states + state, compute);
+}
+
+double NaiveBayesScorer::ItemProbability(const GroupInput& in,
+                                         const Target& target, size_t cls,
+                                         size_t item) const {
+  const std::vector<double>& class_counts = target.stats->class_counts;
+  double class_n = cls < class_counts.size() ? class_counts[cls] : 0.0;
+  double count = 0;
+  if (cls < in.counts->size() && item < (*in.counts)[cls].size()) {
+    count = (*in.counts)[cls][item];
+  }
+  return SmoothedItemProbability(count, class_n, alpha_);
+}
+
+Status NaiveBayesScorer::Score(const DataCase& input,
+                               std::span<TargetPrediction> out) {
   // dmx-hot-begin(nb-predict)
   DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  // Per-class scratch, reused across targets; assign() resizes without
-  // shrinking.
-  std::vector<double> log_post;
-  std::vector<char> present;
-  for (const TargetStats& stats : targets_) {
-    const Attribute& target = attrs.attributes[stats.target];
-    size_t num_classes =
-        std::max<size_t>(stats.class_counts.size(),
-                         static_cast<size_t>(target.cardinality()));
-    AttributePrediction prediction;
-    if (num_classes == 0) {
-      out.targets.emplace(target.name, std::move(prediction));
-      continue;
-    }
-    double total = 0;
-    for (double n : stats.class_counts) total += n;
+  for (Target& t : targets_) {
+    TargetPrediction& prediction = out[t.slot];
+    prediction.Reset();
+    if (t.num_classes == 0) continue;
+    log_post_.assign(t.log_prior.begin(), t.log_prior.end());
 
-    log_post.assign(num_classes, 0.0);
-    for (size_t cls = 0; cls < num_classes; ++cls) {
-      double prior = cls < stats.class_counts.size() ? stats.class_counts[cls]
-                                                     : 0.0;
-      log_post[cls] =
-          std::log((prior + alpha_) / (total + alpha_ * num_classes));
-    }
-
-    for (size_t a = 0; a < attrs.attributes.size(); ++a) {
-      const Attribute& attr = attrs.attributes[a];
-      if (!attr.is_input || static_cast<int>(a) == stats.target) continue;
-      double v = input.values[a];
+    for (const AttributeInput& in : t.attributes) {
+      double v = input.values[in.attribute];
       if (IsMissing(v)) continue;
-      if (attr.is_continuous) {
-        auto it = stats.cont_stats.find(static_cast<int>(a));
-        if (it == stats.cont_stats.end()) continue;
-        for (size_t cls = 0; cls < num_classes; ++cls) {
-          if (cls < it->second.size() && it->second[cls].weight > 0) {
-            log_post[cls] +=
-                LogGaussian(v, it->second[cls].mean, it->second[cls].variance());
-          } else {
-            log_post[cls] += LogGaussian(v, 0, 1e6);  // vague fallback
-          }
+      if (in.continuous) {
+        for (size_t cls = 0; cls < t.num_classes; ++cls) {
+          log_post_[cls] += in.gaussians[cls](v);
         }
       } else {
-        auto it = stats.cat_counts.find(static_cast<int>(a));
-        if (it == stats.cat_counts.end()) continue;
-        int state = static_cast<int>(v);
-        double card = std::max(1, attr.cardinality());
-        for (size_t cls = 0; cls < num_classes; ++cls) {
-          double count = 0;
-          double class_total = 0;
-          if (cls < it->second.size()) {
-            const auto& row = it->second[cls];
-            if (static_cast<size_t>(state) < row.size()) count = row[state];
-            for (double n : row) class_total += n;
-          }
-          log_post[cls] +=
-              std::log((count + alpha_) / (class_total + alpha_ * card));
+        size_t state = static_cast<size_t>(v);
+        for (size_t cls = 0; cls < t.num_classes; ++cls) {
+          log_post_[cls] += CategoricalTerm(in, &t, cls, state);
         }
       }
     }
 
-    for (size_t g = 0; g < attrs.groups.size(); ++g) {
-      const NestedGroup& group = attrs.groups[g];
-      if (!group.is_input) continue;
-      auto it = stats.group_counts.find(static_cast<int>(g));
-      if (it == stats.group_counts.end()) continue;
-      present.assign(group.keys.size(), 0);
-      for (const CaseItem& item : input.groups[g]) {
-        if (item.key >= 0 && static_cast<size_t>(item.key) < present.size()) {
-          present[item.key] = 1;
+    for (const GroupInput& in : t.groups) {
+      present_.assign(in.items, 0);
+      for (const CaseItem& item : input.groups[in.group]) {
+        if (item.key >= 0 && static_cast<size_t>(item.key) < in.items) {
+          present_[item.key] = 1;
         }
       }
-      bool full = group.keys.size() <= kMaxFullBernoulli;
-      for (size_t cls = 0; cls < num_classes; ++cls) {
-        double class_n =
-            cls < stats.class_counts.size() ? stats.class_counts[cls] : 0.0;
-        for (size_t item = 0; item < group.keys.size(); ++item) {
-          double count = 0;
-          if (cls < it->second.size() &&
-              item < it->second[cls].size()) {
-            count = it->second[cls][item];
-          }
-          double p = (count + alpha_) / (class_n + 2 * alpha_);
-          if (present[item]) {
-            log_post[cls] += std::log(p);
-          } else if (full) {
-            log_post[cls] += std::log1p(-std::min(p, 1 - 1e-12));
+      for (size_t cls = 0; cls < t.num_classes; ++cls) {
+        for (size_t item = 0; item < in.items; ++item) {
+          const size_t i = cls * in.items + item;
+          if (present_[item]) {
+            log_post_[cls] += t.terms.Term(in.present + i, [&] {
+              return std::log(ItemProbability(in, t, cls, item));
+            });
+          } else if (in.full) {
+            log_post_[cls] += t.terms.Term(in.absent + i, [&] {
+              return LogItemAbsent(ItemProbability(in, t, cls, item));
+            });
           }
         }
       }
     }
 
     // Normalize in probability space.
-    double max_log = *std::max_element(log_post.begin(), log_post.end());
+    double max_log = *std::max_element(log_post_.begin(), log_post_.end());
     double norm = 0;
-    for (double& lp : log_post) {
+    for (double& lp : log_post_) {
       lp = std::exp(lp - max_log);
       norm += lp;
     }
-    prediction.histogram.reserve(num_classes);
-    for (size_t cls = 0; cls < num_classes; ++cls) {
-      double p = norm > 0 ? log_post[cls] / norm : 0;
+    const std::vector<double>& class_counts = t.stats->class_counts;
+    for (size_t cls = 0; cls < t.num_classes; ++cls) {
+      double p = norm > 0 ? log_post_[cls] / norm : 0;
       if (p <= 0) continue;
-      ScoredValue sv;
-      sv.value = target.StateValue(static_cast<int>(cls));
-      sv.state = static_cast<int>(cls);
-      sv.probability = p;
-      sv.support =
-          cls < stats.class_counts.size() ? stats.class_counts[cls] : 0;
-      prediction.histogram.push_back(std::move(sv));
+      prediction.Offer({static_cast<int>(cls), p,
+                        cls < class_counts.size() ? class_counts[cls] : 0, 0},
+                       t.ranked);
     }
-    std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                     [](const ScoredValue& a, const ScoredValue& b) {
-                       return a.probability > b.probability;
-                     });
-    if (!prediction.histogram.empty()) {
-      prediction.predicted = prediction.histogram[0].value;
-      prediction.probability = prediction.histogram[0].probability;
-      prediction.support = prediction.histogram[0].support;
-    }
-    out.targets.emplace(target.name, std::move(prediction));
+    prediction.Finish(t.ranked);
   }
   // dmx-hot-end(nb-predict)
-  return out;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> NaiveBayesModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<NaiveBayesScorer>(*this, attrs, demand));
 }
 
 Result<ContentNodePtr> NaiveBayesModel::BuildContent(

@@ -55,8 +55,8 @@ class NaiveBayesModel : public TrainedModel {
   Status ConsumeCase(const AttributeSet& attrs, const DataCase& c) override;
   Result<std::unique_ptr<TrainedModel>> Clone() const override;
 
-  Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                 const DataCase& input) const override;
+  Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const AttributeSet& attrs, const PredictionDemand& demand) const override;
 
   Result<ContentNodePtr> BuildContent(const AttributeSet& attrs) const override;
 

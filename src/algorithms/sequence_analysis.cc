@@ -91,62 +91,87 @@ Status MarkovSequenceModel::ConsumeCase(const AttributeSet& attrs,
   return Status::OK();
 }
 
-Result<CasePrediction> MarkovSequenceModel::Predict(
-    const AttributeSet& attrs, const DataCase& input) const {
-  // dmx-hot-begin(sa-predict)
-  DMX_RETURN_IF_ERROR(GuardCheck());
-  CasePrediction out;
-  for (const Chain& chain : chains_) {
-    const NestedGroup& group = attrs.groups[chain.group];
-    // OrderedItems sorts the case's items by sequence time into a fresh
-    // buffer; a model has at most a handful of chains.
-    std::vector<int> sequence =  // dmx-lint: allow(hot-loop-alloc)
-        OrderedItems(group, input.groups[chain.group]);
-    const size_t vocabulary = group.keys.size();
-    AttributePrediction prediction;
-    prediction.histogram.reserve(vocabulary);
+namespace {
 
-    // Distribution over the next item: transition row of the last item, or
-    // the initial distribution for empty histories.
-    const std::vector<double>* counts = nullptr;
-    double total = 0;
-    if (!sequence.empty() &&
-        static_cast<size_t>(sequence.back()) < chain.transitions.size()) {
-      counts = &chain.transitions[sequence.back()];
-    } else if (sequence.empty() && !chain.initial.empty()) {
-      counts = &chain.initial;
-    }
-    if (counts != nullptr) {
-      for (double n : *counts) total += n;
-    }
-    for (size_t item = 0; item < vocabulary; ++item) {
-      double count =
-          counts != nullptr && item < counts->size() ? (*counts)[item] : 0;
-      double p = (count + alpha_) /
-                 (total + alpha_ * static_cast<double>(vocabulary));
-      if (count <= 0 && total > 0) {
-        continue;
+// Ranks the next item of each demanded chain from the transition row of the
+// case's last item (or the initial distribution for an empty history).
+class SequenceScorer : public CaseScorer {
+ public:
+  SequenceScorer(const MarkovSequenceModel& model, const AttributeSet& attrs,
+                 const PredictionDemand& demand)
+      : attrs_(attrs), alpha_(model.alpha()) {
+    for (size_t slot = 0; slot < demand.targets.size(); ++slot) {
+      const TargetDemand& want = demand.targets[slot];
+      if (want.target.kind != PredictionTarget::Kind::kGroup) continue;
+      for (const MarkovSequenceModel::Chain& chain : model.chains()) {
+        if (chain.group != want.target.index) continue;
+        targets_.push_back({slot, want.histogram, &chain});
+        break;
       }
-      ScoredValue sv;
-      sv.value = group.keys[item];
-      sv.state = static_cast<int>(item);
-      sv.probability = p;
-      sv.support = count;
-      prediction.histogram.push_back(std::move(sv));
     }
-    std::stable_sort(prediction.histogram.begin(), prediction.histogram.end(),
-                     [](const ScoredValue& a, const ScoredValue& b) {
-                       return a.probability > b.probability;
-                     });
-    if (!prediction.histogram.empty()) {
-      prediction.predicted = prediction.histogram[0].value;
-      prediction.probability = prediction.histogram[0].probability;
-      prediction.support = prediction.histogram[0].support;
-    }
-    out.targets.emplace(group.name, std::move(prediction));
   }
-  // dmx-hot-end(sa-predict)
-  return out;
+
+  Status Score(const DataCase& input,
+               std::span<TargetPrediction> out) override {
+    // dmx-hot-begin(sa-predict)
+    DMX_RETURN_IF_ERROR(GuardCheck());
+    for (const Target& t : targets_) {
+      const MarkovSequenceModel::Chain& chain = *t.chain;
+      const NestedGroup& group = attrs_.groups[chain.group];
+      // OrderedItems sorts the case's items by sequence time into a fresh
+      // buffer; a model has at most a handful of chains.
+      std::vector<int> sequence =  // dmx-lint: allow(hot-loop-alloc)
+          MarkovSequenceModel::OrderedItems(group, input.groups[chain.group]);
+      const size_t vocabulary = group.keys.size();
+      TargetPrediction& prediction = out[t.slot];
+      prediction.Reset();
+
+      // Distribution over the next item: transition row of the last item,
+      // or the initial distribution for empty histories.
+      const std::vector<double>* counts = nullptr;
+      double total = 0;
+      if (!sequence.empty() &&
+          static_cast<size_t>(sequence.back()) < chain.transitions.size()) {
+        counts = &chain.transitions[sequence.back()];
+      } else if (sequence.empty() && !chain.initial.empty()) {
+        counts = &chain.initial;
+      }
+      if (counts != nullptr) {
+        for (double n : *counts) total += n;
+      }
+      for (size_t item = 0; item < vocabulary; ++item) {
+        double count =
+            counts != nullptr && item < counts->size() ? (*counts)[item] : 0;
+        double p = (count + alpha_) /
+                   (total + alpha_ * static_cast<double>(vocabulary));
+        if (count <= 0 && total > 0) {
+          continue;
+        }
+        prediction.Offer({static_cast<int>(item), p, count, 0}, t.ranked);
+      }
+      prediction.Finish(t.ranked);
+    }
+    // dmx-hot-end(sa-predict)
+    return Status::OK();
+  }
+
+ private:
+  struct Target {
+    size_t slot;
+    bool ranked;
+    const MarkovSequenceModel::Chain* chain;
+  };
+  const AttributeSet& attrs_;
+  double alpha_;
+  std::vector<Target> targets_;
+};
+
+}  // namespace
+
+Result<std::unique_ptr<CaseScorer>> MarkovSequenceModel::MakeScorer(
+    const AttributeSet& attrs, const PredictionDemand& demand) const {
+  return std::unique_ptr<CaseScorer>(
+      std::make_unique<SequenceScorer>(*this, attrs, demand));
 }
 
 Result<ContentNodePtr> MarkovSequenceModel::BuildContent(

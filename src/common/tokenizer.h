@@ -74,6 +74,8 @@ class TokenStream {
     if (pos_ < tokens_.size()) ++pos_;
     return t;
   }
+  /// The last token Next() consumed (the end token before any).
+  const Token& Previous() const { return pos_ > 0 ? tokens_[pos_ - 1] : end_; }
   bool AtEnd() const { return Peek().IsEnd(); }
   size_t position() const { return pos_; }
   void Rewind(size_t position) { pos_ = position; }

@@ -645,12 +645,15 @@ AnalysisReport DmxAnalyzer::AnalyzePredictionJoin(
 }
 
 AnalysisReport DmxAnalyzer::AnalyzeText(const std::string& text) const {
-  auto parsed = ParseDmx(text);
+  SourceSpan read_only_table;
+  auto parsed = ParseDmx(text, &read_only_table);
   AnalysisReport report;
   if (!parsed.ok()) {
     Diagnostic diag;
     diag.severity = DiagSeverity::kError;
-    diag.rule = rules::kParseError;
+    diag.rule = read_only_table.valid() ? rules::kReadOnlyTable
+                                        : rules::kParseError;
+    diag.span = read_only_table;
     diag.message = parsed.status().message();
     report.diagnostics.push_back(std::move(diag));
     return report;

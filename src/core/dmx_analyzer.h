@@ -39,6 +39,9 @@ class ModelCatalog;
 namespace rules {
 // Errors.
 inline constexpr const char kParseError[] = "parse-error";
+/// A write (INSERT INTO, DELETE FROM, DROP TABLE) names one of the
+/// provider's read-only tables: `$system.<rowset>` or `<model>.CONTENT`.
+inline constexpr const char kReadOnlyTable[] = "read-only-table";
 inline constexpr const char kKeyCount[] = "key-count";
 inline constexpr const char kTableNestedKey[] = "table-nested-key";
 inline constexpr const char kNestingDepth[] = "nesting-depth";
@@ -73,8 +76,8 @@ inline constexpr const char kPredictInput[] = "predict-input";
 /// and fails unless some committed fuzz corpus seed triggers each entry, so
 /// rules cannot ship without fuzzer-visible coverage.
 inline constexpr const char* kAll[] = {
-    kParseError,     kKeyCount,        kTableNestedKey,
-    kNestingDepth,   kDuplicateColumn, kKeyPredict,
+    kParseError,     kReadOnlyTable,   kKeyCount,
+    kTableNestedKey, kNestingDepth,   kDuplicateColumn, kKeyPredict,
     kRelatedToTarget, kQualifierTarget, kDistributionContinuous,
     kNumericAttribute, kSequenceTime,   kPredictPresence,
     kUnknownService, kUnknownModel,    kUnknownColumn,

@@ -553,7 +553,8 @@ bool IsSqlCommand(const std::vector<Token>& tokens) {
   return true;
 }
 
-Result<DmxParseResult> ParseDmx(const std::string& text) {
+Result<DmxParseResult> ParseDmx(const std::string& text,
+                                SourceSpan* read_only_table) {
   DMX_ASSIGN_OR_RETURN(std::vector<Token> token_list, Tokenize(text));
   if (token_list.empty()) {
     return ParseError() << "empty command";
@@ -562,7 +563,8 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
   TokenStream tokens(std::move(token_list));
   DmxParseResult result;
   if (is_sql) {
-    DMX_ASSIGN_OR_RETURN(result.sql, rel::ParseSqlFrom(&tokens));
+    DMX_ASSIGN_OR_RETURN(result.sql,
+                         rel::ParseSqlFrom(&tokens, read_only_table));
     result.is_sql = true;
     return result;
   }
@@ -607,7 +609,8 @@ Result<DmxParseResult> ParseDmx(const std::string& text) {
     tokens.MatchKeywords({"DELETE", "FROM"});
     DeleteFromModelStatement stmt;
     stmt.model_span = tokens.Peek().span();
-    DMX_ASSIGN_OR_RETURN(stmt.model_name, rel::ParseWriteTarget(&tokens));
+    DMX_ASSIGN_OR_RETURN(stmt.model_name,
+                         rel::ParseWriteTarget(&tokens, read_only_table));
     result.statement = std::move(stmt);
   }
   tokens.MatchPunct(";");

@@ -34,8 +34,11 @@ struct DmxParseResult {
 };
 
 /// Classifies and parses one command string. A malformed SQL command fails
-/// here, with the relational parser's own status.
-Result<DmxParseResult> ParseDmx(const std::string& text);
+/// here, with the relational parser's own status. A write to a read-only
+/// table fails here too; `read_only_table` then receives the table's span
+/// (see rel::ParseWriteTarget).
+Result<DmxParseResult> ParseDmx(const std::string& text,
+                                SourceSpan* read_only_table = nullptr);
 
 /// ParseDmx's classification of a tokenized command: true when it is plain
 /// SQL (exposed for the front-end fuzz oracle).

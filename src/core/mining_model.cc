@@ -135,12 +135,13 @@ Status MiningModel::TrainStage(RowsetReader* reader,
   return Status::OK();
 }
 
-Result<CasePrediction> MiningModel::Predict(const DataCase& input) const {
+Result<std::unique_ptr<CaseScorer>> MiningModel::MakeScorer(
+    const PredictionDemand& demand) const {
   if (trained_ == nullptr) {
     return InvalidState() << "model '" << definition_.model_name
                           << "' has not been trained (INSERT INTO it first)";
   }
-  return trained_->Predict(attrs_, input);
+  return trained_->MakeScorer(attrs_, demand);
 }
 
 Result<ContentNodePtr> MiningModel::BuildContent() const {

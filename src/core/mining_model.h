@@ -5,7 +5,7 @@
 // paper's model operations:
 //
 //   INSERT INTO   -> InsertCases()  (population / refresh)
-//   PREDICTION JOIN -> Predict()    (driven by core/prediction_join)
+//   PREDICTION JOIN -> MakeScorer() (driven by core/prediction_join)
 //   SELECT ... .CONTENT -> BuildContent()
 //   DELETE FROM   -> Reset()
 //
@@ -68,8 +68,11 @@ class MiningModel {
   Status InsertCases(RowsetReader* reader,
                      const std::vector<InsertColumn>* mapping);
 
-  /// Prediction entry point for bound cases (see prediction_join.cc).
-  Result<CasePrediction> Predict(const DataCase& input) const;
+  /// Prediction entry point: a scorer of bound cases for what one statement
+  /// reads (see prediction_join.cc). It reads the trained state and the
+  /// attribute space, so it must not outlive the statement.
+  Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const PredictionDemand& demand) const;
 
   /// Content graph of the trained state (SELECT * FROM <model>.CONTENT).
   Result<ContentNodePtr> BuildContent() const;

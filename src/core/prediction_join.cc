@@ -148,8 +148,10 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
                                       stmt.natural ? nullptr : &stmt.on));
 
   // Bind once, before any case is scored: the items in order, then the
-  // WHERE operands. The output schema is the bound items' columns.
+  // WHERE operands. The output schema is the bound items' columns, and the
+  // demand is what they read of the model's predictions.
   const Schema& source_schema = *source.schema();
+  PredictionDemand demand;
   std::vector<BoundDmxExpr> items;
   std::vector<ColumnDef> columns;
   items.reserve(stmt.items.size());
@@ -157,7 +159,7 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
   for (const DmxSelectItem& item : stmt.items) {
     DMX_ASSIGN_OR_RETURN(BoundDmxExpr bound,
                          BindDmxExpr(item.expr, *model, source_schema,
-                                     stmt.source_alias));
+                                     stmt.source_alias, &demand));
     columns.push_back(bound.column);
     if (!item.alias.empty()) columns.back().name = item.alias;
     items.push_back(std::move(bound));
@@ -167,17 +169,24 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
   for (const DmxFilter& filter : stmt.where) {
     DMX_ASSIGN_OR_RETURN(BoundDmxExpr lhs,
                          BindDmxExpr(filter.lhs, *model, source_schema,
-                                     stmt.source_alias));
+                                     stmt.source_alias, &demand));
     DMX_ASSIGN_OR_RETURN(rel::BinaryOp op, BindComparison(filter.op));
     DMX_ASSIGN_OR_RETURN(BoundDmxExpr rhs,
                          BindDmxExpr(filter.rhs, *model, source_schema,
-                                     stmt.source_alias));
+                                     stmt.source_alias, &demand));
     filters.push_back({std::move(lhs), op, std::move(rhs)});
   }
   Rowset out(Schema::Make(std::move(columns)));
 
+  // One scorer and one prediction buffer serve every case: the scorer
+  // overwrites the slots the model predicts, and a slot it never fills
+  // reads as "not predicted".
+  DMX_ASSIGN_OR_RETURN(std::unique_ptr<CaseScorer> scorer,
+                       model->MakeScorer(demand));
+  std::vector<TargetPrediction> predictions(demand.targets.size());
   PredictionRowContext ctx;
   ctx.model = model;
+  ctx.predictions = predictions;
 
   size_t limit = stmt.top.has_value() ? static_cast<size_t>(*stmt.top)
                                       : source.num_rows();
@@ -188,8 +197,7 @@ Result<Rowset> ExecutePredictionJoin(const rel::Database& db,
     const Row& source_row = source.rows()[r];
     DMX_RETURN_IF_ERROR(
         binder.BindCaseInto(source_row, model->attributes(), &input));
-    DMX_ASSIGN_OR_RETURN(CasePrediction prediction, model->Predict(input));
-    ctx.prediction = &prediction;
+    DMX_RETURN_IF_ERROR(scorer->Score(input, predictions));
     ctx.source_row = &source_row;
     // WHERE: every conjunct must hold (NULL comparisons are false).
     bool keep = true;

@@ -359,9 +359,13 @@ Result<Rowset> Connection::Execute(const std::string& command) {
 
 Result<Rowset> Connection::ExecuteGuarded(const std::string& command,
                                           ExecGuard* guard) {
-  Result<DmxParseResult> parsed = ParseDmx(command);
+  SourceSpan read_only_table;
+  Result<DmxParseResult> parsed = ParseDmx(command, &read_only_table);
   if (!parsed.ok()) {
-    return parsed.status().WithContext("parsing statement");
+    // A well-formed write to a read-only table is refused, not misparsed.
+    return parsed.status().WithContext(read_only_table.valid()
+                                           ? "checking the write target"
+                                           : "parsing statement");
   }
 
   // Lock regime: reads share the catalogs, everything that can mutate them

@@ -21,6 +21,7 @@ struct BindScope {
   const MiningModel& model;
   const Schema& source;
   const std::string& source_alias;
+  PredictionDemand* demand;
 };
 
 constexpr Udf kUdfs[] = {
@@ -139,6 +140,25 @@ Result<BoundDmxExpr> BindPath(const std::vector<std::string>& path,
   return out;
 }
 
+// Files what model-reading node `out` reads in the statement's demand: the
+// target its model column names (Cluster*: cluster membership) and, with
+// `histogram`, every ranked candidate. Keeps the slot it comes back in.
+void RequireTarget(const BindScope& scope, bool histogram, BoundDmxExpr* out) {
+  if (out->fn == Fn::kCluster || out->fn == Fn::kClusterProbability) {
+    out->target = {PredictionTarget::Kind::kCluster, -1};
+  } else {
+    const AttributeSet& attrs = scope.model.attributes();
+    const ModelColumn& spec =
+        *scope.model.definition().FindColumn(out->model_column);
+    out->target = spec.is_table()
+                      ? PredictionTarget{PredictionTarget::Kind::kGroup,
+                                         attrs.FindGroup(out->model_column)}
+                      : PredictionTarget{PredictionTarget::Kind::kAttribute,
+                                         attrs.FindAttribute(out->model_column)};
+  }
+  out->slot = scope.demand->Require(out->target, histogram);
+}
+
 // Binds a Predict*/Range* function's first argument, which must name a
 // model column, into `out`; returns that column's definition.
 Result<const ModelColumn*> BindModelColumnArg(const Udf& udf,
@@ -172,7 +192,7 @@ Status BindTopCount(const DmxExpr& expr, const BindScope& scope,
   const DmxExpr& rank = expr.args[1];
   std::string rank_name;
   if (rank.kind == DmxExpr::Kind::kDollar) {
-    rank_name = "$" + ToUpper(rank.dollar);
+    rank_name = StrCat("$", ToUpper(rank.dollar));
   } else if (rank.kind == DmxExpr::Kind::kColumnPath && rank.path.size() == 1) {
     rank_name = rank.path[0];
   } else {
@@ -210,9 +230,11 @@ Status BindModelFunction(const Udf& udf, const DmxExpr& expr,
           out->count = n.literal.long_value();
         }
       }
+      RequireTarget(scope, /*histogram=*/spec->is_table(), out);
       return Status::OK();
     case Fn::kPredictHistogram:
       out->column = ColumnDef("", HistogramSchema(*spec, out->model_column));
+      RequireTarget(scope, /*histogram=*/true, out);
       return Status::OK();
     case Fn::kRangeMin:
     case Fn::kRangeMid:
@@ -229,6 +251,7 @@ Status BindModelFunction(const Udf& udf, const DmxExpr& expr,
       }
       out->bucket_bounds = attr.bucket_bounds;
       out->column = ColumnDef("", DataType::kDouble);
+      RequireTarget(scope, /*histogram=*/false, out);
       return Status::OK();
     }
     default:  // PredictProbability / Support / Variance / Stdev
@@ -240,6 +263,8 @@ Status BindModelFunction(const Udf& udf, const DmxExpr& expr,
         out->explicit_value = expr.args[1].literal;
       }
       out->column = ColumnDef("", DataType::kDouble);
+      // An explicit value's statistics are its histogram entry's.
+      RequireTarget(scope, out->explicit_value.has_value(), out);
       return Status::OK();
   }
 }
@@ -257,6 +282,9 @@ Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
     case DmxExpr::Kind::kColumnPath: {
       DMX_ASSIGN_OR_RETURN(out, BindPath(expr.path, scope));
       out.column.name = expr.path.back();
+      if (out.fn == Fn::kModelColumn) {
+        RequireTarget(scope, /*histogram=*/false, &out);
+      }
       return out;
     }
     case DmxExpr::Kind::kFunction:
@@ -279,9 +307,11 @@ Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
   switch (udf->fn) {
     case Fn::kCluster:
       out.column = ColumnDef("", DataType::kText);
+      RequireTarget(scope, /*histogram=*/false, &out);
       break;
     case Fn::kClusterProbability:
       out.column = ColumnDef("", DataType::kDouble);
+      RequireTarget(scope, /*histogram=*/false, &out);
       break;
     case Fn::kTopCount:
       DMX_RETURN_IF_ERROR(BindTopCount(expr, scope, &out));
@@ -298,11 +328,12 @@ Result<BoundDmxExpr> Bind(const DmxExpr& expr, const BindScope& scope) {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-// The prediction for a model column; errors when the column is not a target.
-Result<const AttributePrediction*> TargetPrediction(
-    const BoundDmxExpr& expr, const PredictionRowContext& ctx) {
-  const AttributePrediction* p = ctx.prediction->Find(expr.model_column);
-  if (p == nullptr) {
+// The case's prediction for a model-reading node; errors when the model
+// does not predict its column.
+Result<const TargetPrediction*> Prediction(const BoundDmxExpr& expr,
+                                           const PredictionRowContext& ctx) {
+  const TargetPrediction* p = &ctx.predictions[expr.slot];
+  if (!p->predicted) {
     return BindError() << "column '" << expr.model_column
                        << "' is not predicted by model '"
                        << ctx.model->definition().model_name
@@ -313,33 +344,40 @@ Result<const AttributePrediction*> TargetPrediction(
 
 // The top `limit` histogram entries (all when limit <= 0) as a nested table
 // of the node's declared histogram schema.
-Value HistogramTable(const BoundDmxExpr& expr,
-                     const AttributePrediction& prediction, int64_t limit) {
+Value HistogramTable(const BoundDmxExpr& expr, const TargetPrediction& p,
+                     const PredictionRowContext& ctx, int64_t limit) {
+  const AttributeSet& attrs = ctx.model->attributes();
   std::vector<Row> rows;
-  size_t n = prediction.histogram.size();
+  size_t n = p.histogram.size();
   if (limit > 0) n = std::min(n, static_cast<size_t>(limit));
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const ScoredValue& sv = prediction.histogram[i];
-    rows.push_back({sv.value, Value::Double(sv.support),
-                    Value::Double(sv.probability), Value::Double(sv.variance),
-                    Value::Double(sv.stdev())});
+    const ScoredState& entry = p.histogram[i];
+    rows.push_back({EntryValue(attrs, expr.target, p, entry),
+                    Value::Double(entry.support),
+                    Value::Double(entry.probability),
+                    Value::Double(entry.variance),
+                    Value::Double(entry.stdev())});
   }
   return Value::Table(NestedTable::Make(expr.column.nested, std::move(rows)));
 }
 
-Value PredictStat(const BoundDmxExpr& expr, const AttributePrediction& p) {
+Value PredictStat(const BoundDmxExpr& expr, const TargetPrediction& p,
+                  const PredictionRowContext& ctx) {
   double probability = p.probability;
   double support = p.support;
   double variance = p.variance;
   if (expr.explicit_value.has_value()) {
     // The explicit value's histogram entry; an unknown value scores 0.
     probability = support = variance = 0;
-    for (const ScoredValue& sv : p.histogram) {
-      if (!sv.value.Equals(*expr.explicit_value)) continue;
-      probability = sv.probability;
-      support = sv.support;
-      variance = sv.variance;
+    for (const ScoredState& entry : p.histogram) {
+      if (!EntryValue(ctx.model->attributes(), expr.target, p, entry)
+               .Equals(*expr.explicit_value)) {
+        continue;
+      }
+      probability = entry.probability;
+      support = entry.support;
+      variance = entry.variance;
       break;
     }
   }
@@ -356,13 +394,11 @@ Value PredictStat(const BoundDmxExpr& expr, const AttributePrediction& p) {
 }
 
 // RangeMin/Mid/Max: the bounds of the predicted DISCRETIZED bucket.
-Value Range(const BoundDmxExpr& expr, const AttributePrediction& p) {
+Value Range(const BoundDmxExpr& expr, const TargetPrediction& p) {
   const std::vector<double>& bounds = expr.bucket_bounds;
   const int n = static_cast<int>(bounds.size());
-  if (p.histogram.empty() || p.histogram[0].state < 0 || n == 0) {
-    return Value::Null();
-  }
-  int bucket = p.histogram[0].state;
+  if (p.continuous || p.state < 0 || n == 0) return Value::Null();
+  int bucket = p.state;
   bool open_low = bucket <= 0;
   bool open_high = bucket >= n;
   double lo = open_low ? bounds[0] : bounds[bucket - 1];
@@ -400,20 +436,22 @@ Result<Value> TopCount(const BoundDmxExpr& expr,
 Result<Value> Cluster(const BoundDmxExpr& expr,
                       const PredictionRowContext& ctx) {
   const bool probability = expr.fn == Fn::kClusterProbability;
-  const AttributePrediction* p = ctx.prediction->Find("$CLUSTER");
-  if (p == nullptr) {
+  const TargetPrediction& p = ctx.predictions[expr.slot];
+  if (!p.predicted) {
     return InvalidState() << (probability ? "ClusterProbability" : "Cluster")
                           << " requires a segmentation model";
   }
-  return probability ? Value::Double(p->probability) : p->predicted;
+  return probability ? Value::Double(p.probability)
+                     : PredictedValue(ctx.model->attributes(), expr.target, p);
 }
 
 }  // namespace
 
 Result<BoundDmxExpr> BindDmxExpr(const DmxExpr& expr, const MiningModel& model,
                                  const Schema& source,
-                                 const std::string& source_alias) {
-  return Bind(expr, BindScope{model, source, source_alias});
+                                 const std::string& source_alias,
+                                 PredictionDemand* demand) {
+  return Bind(expr, BindScope{model, source, source_alias, demand});
 }
 
 Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
@@ -431,16 +469,15 @@ Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
     default:
       break;
   }
-  DMX_ASSIGN_OR_RETURN(const AttributePrediction* p,
-                       TargetPrediction(expr, ctx));
+  DMX_ASSIGN_OR_RETURN(const TargetPrediction* p, Prediction(expr, ctx));
   switch (expr.fn) {
     case Fn::kPredict:
       if (expr.column.type == DataType::kTable) {
-        return HistogramTable(expr, *p, expr.count);
+        return HistogramTable(expr, *p, ctx, expr.count);
       }
-      return p->predicted;
+      return PredictedValue(ctx.model->attributes(), expr.target, *p);
     case Fn::kPredictHistogram:
-      return HistogramTable(expr, *p, /*limit=*/0);
+      return HistogramTable(expr, *p, ctx, /*limit=*/0);
     case Fn::kRangeMin:
     case Fn::kRangeMid:
     case Fn::kRangeMax:
@@ -449,11 +486,11 @@ Result<Value> EvaluateDmxExpr(const BoundDmxExpr& expr,
     case Fn::kPredictSupport:
     case Fn::kPredictVariance:
     case Fn::kPredictStdev:
-      return PredictStat(expr, *p);
+      return PredictStat(expr, *p, ctx);
     default:
       // A bare model column reference means its prediction (the paper's
       // "SELECT ..., [Age Prediction].[Age] FROM ... PREDICTION JOIN ...").
-      return p->predicted;
+      return PredictedValue(ctx.model->attributes(), expr.target, *p);
   }
 }
 

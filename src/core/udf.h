@@ -21,9 +21,13 @@
 // statement: it resolves every column path against the model and the
 // source, dispatches every function name, validates arities and literal
 // arguments, and derives each node's output column. Whether a statement is
-// valid therefore never depends on how many cases it scores. EvaluateDmxExpr
-// then runs once per case over the bound tree and does no name lookups; the
-// only errors it can raise are those that need the case's prediction.
+// valid therefore never depends on how many cases it scores. Binding also
+// files what each node reads of the model's predictions in the statement's
+// PredictionDemand (model/prediction.h) and keeps the slot the prediction
+// comes back in. EvaluateDmxExpr then runs once per case over the bound tree
+// and reads its prediction by that slot, with no name lookups; it builds a
+// Value only for what it returns. The only errors it can raise are those
+// that need the case's prediction.
 
 #ifndef DMX_CORE_UDF_H_
 #define DMX_CORE_UDF_H_
@@ -67,9 +71,13 @@ struct BoundDmxExpr {
   ColumnDef column;
   Value literal;                ///< kLiteral
   int source_column = -1;       ///< kSourceColumn
-  /// The model column a Predict*/Range* node reads, as the statement spells
-  /// it (prediction lookup is case-insensitive).
+  /// The model column a model-reading node reads, as the statement spells
+  /// it, and what it names: a scalar attribute or a nested group.
   std::string model_column;
+  PredictionTarget target;
+  /// Model-reading nodes (model columns, Predict*, Range*, Cluster*): the
+  /// slot of `target` in the statement's PredictionDemand.
+  size_t slot = 0;
   /// PredictProbability/Support/Variance/Stdev: the explicit value whose
   /// histogram entry to report instead of the best estimate's.
   std::optional<Value> explicit_value;
@@ -98,16 +106,19 @@ struct Udf {
 std::span<const Udf> ShippedUdfs();
 
 /// Binds `expr` for a prediction join of `model` with a source of schema
-/// `source` aliased `source_alias`. Every diagnostic that does not depend on
-/// a case's prediction is reported here.
+/// `source` aliased `source_alias`, adding what it reads of the model's
+/// predictions to `demand`. Every diagnostic that does not depend on a
+/// case's prediction is reported here.
 Result<BoundDmxExpr> BindDmxExpr(const DmxExpr& expr, const MiningModel& model,
                                  const Schema& source,
-                                 const std::string& source_alias);
+                                 const std::string& source_alias,
+                                 PredictionDemand* demand);
 
 /// Evaluation context for one joined case.
 struct PredictionRowContext {
   const MiningModel* model = nullptr;
-  const CasePrediction* prediction = nullptr;
+  /// The case's predictions, one per slot of the statement's demand.
+  std::span<const TargetPrediction> predictions;
   const Row* source_row = nullptr;
 };
 

@@ -40,8 +40,8 @@ std::string Attribute::StateName(int index) const {
     if (static_cast<size_t>(index) >= n) {
       return ">= " + FormatDouble(bucket_bounds[n - 1]);
     }
-    return "[" + FormatDouble(bucket_bounds[index - 1]) + ", " +
-           FormatDouble(bucket_bounds[index]) + ")";
+    return StrCat("[", FormatDouble(bucket_bounds[index - 1]), ", ",
+                  FormatDouble(bucket_bounds[index]), ")");
   }
   if (index < 0 || index >= static_cast<int>(categories.size())) {
     return "<unknown>";

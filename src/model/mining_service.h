@@ -5,11 +5,18 @@
 // MINING_SERVICES schema rowset), validates USING-clause parameters, and
 // produces TrainedModel instances that can predict, be browsed as a content
 // graph, and optionally be trained incrementally.
+//
+// Prediction is per statement: a prediction join hands the model what it
+// reads (a PredictionDemand, model/prediction.h) once, gets a CaseScorer
+// back, and scores every case with it. A scorer computes only the demanded
+// targets, builds a ranked histogram only where one is read, and may keep
+// per-statement tables (smoothed log terms) that every case shares.
 
 #ifndef DMX_MODEL_MINING_SERVICE_H_
 #define DMX_MODEL_MINING_SERVICE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +57,24 @@ struct ServiceCapabilities {
   std::vector<ServiceParameter> parameters;
 };
 
+/// \brief Scores the cases of one statement against one trained model.
+///
+/// Made by TrainedModel::MakeScorer for one demand; it reads the model and
+/// the attribute space it was made with, so it lives no longer than the
+/// statement (which holds the catalog lock). Not thread-safe: it may fill
+/// per-statement tables as cases read them.
+class CaseScorer {
+ public:
+  virtual ~CaseScorer() = default;
+
+  /// Scores `input`. `out` has one entry per demand slot; the scorer
+  /// overwrites every slot whose target the model predicts (marking it
+  /// `predicted`) and leaves the others as they are. `input` carries the
+  /// bound input attribute values; output slots are ignored.
+  virtual Status Score(const DataCase& input,
+                       std::span<TargetPrediction> out) = 0;
+};
+
 /// \brief A trained data mining model's algorithm-side state.
 ///
 /// The provider-side MiningModel object owns one of these after INSERT INTO;
@@ -64,11 +89,10 @@ class TrainedModel {
   /// Number of training cases consumed (weighted).
   virtual double case_count() const = 0;
 
-  /// Computes predictions for every output attribute/group of `attrs`.
-  /// `input` carries the bound input attribute values; output slots are
-  /// ignored (they are what is being predicted).
-  virtual Result<CasePrediction> Predict(const AttributeSet& attrs,
-                                         const DataCase& input) const = 0;
+  /// A scorer for the targets `demand` reads. Slots naming a target this
+  /// model does not predict are never filled.
+  virtual Result<std::unique_ptr<CaseScorer>> MakeScorer(
+      const AttributeSet& attrs, const PredictionDemand& demand) const = 0;
 
   /// Renders the learned structure as a content graph rooted at a
   /// NodeType::kModel node.

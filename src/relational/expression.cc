@@ -133,8 +133,9 @@ std::string Expr::ToString() const {
       return (unary_op == UnaryOp::kNot ? "NOT (" : "-(") +
              children[0]->ToString() + ")";
     case ExprKind::kBinary:
-      return "(" + children[0]->ToString() + " " + BinaryOpToString(binary_op) +
-             " " + children[1]->ToString() + ")";
+      return StrCat("(", children[0]->ToString(), " ",
+                    BinaryOpToString(binary_op), " ", children[1]->ToString(),
+                    ")");
     case ExprKind::kIsNull:
       return children[0]->ToString() + (is_null_negated ? " IS NOT NULL"
                                                         : " IS NULL");

@@ -223,10 +223,11 @@ Result<CreateTableStatement> ParseCreateTable(TokenStream* tokens) {
   return stmt;
 }
 
-Result<InsertStatement> ParseInsert(TokenStream* tokens) {
+Result<InsertStatement> ParseInsert(TokenStream* tokens,
+                                    SourceSpan* read_only_table) {
   InsertStatement stmt;
   DMX_RETURN_IF_ERROR(tokens->ExpectKeyword("INTO"));
-  DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens));
+  DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens, read_only_table));
   if (tokens->MatchPunct("(")) {
     while (true) {
       DMX_ASSIGN_OR_RETURN(std::string col,
@@ -258,10 +259,16 @@ Result<InsertStatement> ParseInsert(TokenStream* tokens) {
 
 Result<ExprPtr> ParseExpression(TokenStream* tokens) { return ParseOr(tokens); }
 
-Result<std::string> ParseWriteTarget(TokenStream* tokens) {
+Result<std::string> ParseWriteTarget(TokenStream* tokens,
+                                     SourceSpan* read_only_table) {
+  const size_t begin = tokens->Peek().offset;
   std::string last_part;
   DMX_ASSIGN_OR_RETURN(std::string name, ParseTableName(tokens, &last_part));
   if (!last_part.empty()) {
+    if (read_only_table != nullptr) {
+      const SourceSpan last = tokens->Previous().span();
+      *read_only_table = {begin, last.offset + last.length - begin};
+    }
     return InvalidArgument() << "table '" << name << "' is read-only";
   }
   return name;
@@ -345,7 +352,8 @@ Result<SelectStatement> ParseSelectFrom(TokenStream* tokens) {
   return stmt;
 }
 
-Result<SqlStatement> ParseSqlFrom(TokenStream* tokens) {
+Result<SqlStatement> ParseSqlFrom(TokenStream* tokens,
+                                  SourceSpan* read_only_table) {
   SqlStatement out;
   if (tokens->Peek().IsKeyword("SELECT")) {
     DMX_ASSIGN_OR_RETURN(SelectStatement stmt, ParseSelectFrom(tokens));
@@ -354,15 +362,16 @@ Result<SqlStatement> ParseSqlFrom(TokenStream* tokens) {
     DMX_ASSIGN_OR_RETURN(CreateTableStatement stmt, ParseCreateTable(tokens));
     out = std::move(stmt);
   } else if (tokens->MatchKeyword("INSERT")) {
-    DMX_ASSIGN_OR_RETURN(InsertStatement stmt, ParseInsert(tokens));
+    DMX_ASSIGN_OR_RETURN(InsertStatement stmt,
+                         ParseInsert(tokens, read_only_table));
     out = std::move(stmt);
   } else if (tokens->MatchKeywords({"DROP", "TABLE"})) {
     DropTableStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.name, ParseWriteTarget(tokens));
+    DMX_ASSIGN_OR_RETURN(stmt.name, ParseWriteTarget(tokens, read_only_table));
     out = std::move(stmt);
   } else if (tokens->MatchKeywords({"DELETE", "FROM"})) {
     DeleteStatement stmt;
-    DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens));
+    DMX_ASSIGN_OR_RETURN(stmt.table, ParseWriteTarget(tokens, read_only_table));
     if (tokens->MatchKeyword("WHERE")) {
       DMX_ASSIGN_OR_RETURN(stmt.where, ParseOr(tokens));
     }

@@ -19,8 +19,10 @@ Result<SqlStatement> ParseSql(const std::string& text);
 
 /// Parses a complete SQL statement from the current stream position to the
 /// end: one statement, an optional `;`, then nothing. The DMX front end
-/// hands it the tokens it classified the command on.
-Result<SqlStatement> ParseSqlFrom(TokenStream* tokens);
+/// hands it the tokens it classified the command on. `read_only_table`: see
+/// ParseWriteTarget.
+Result<SqlStatement> ParseSqlFrom(TokenStream* tokens,
+                                  SourceSpan* read_only_table = nullptr);
 
 /// Parses a SELECT statement starting at the current stream position (the
 /// leading SELECT keyword must still be in the stream). Used by embedding
@@ -32,8 +34,12 @@ Result<ExprPtr> ParseExpression(TokenStream* tokens);
 
 /// Parses the table a write names (INSERT INTO, DELETE FROM, DROP TABLE,
 /// DMX DELETE FROM). It reads the dotted forms a SELECT's FROM reads and
-/// refuses them: `$system.<rowset>` and `<model>.CONTENT` are read-only.
-Result<std::string> ParseWriteTarget(TokenStream* tokens);
+/// refuses them with InvalidArgument: `$system.<rowset>` and
+/// `<model>.CONTENT` are read-only. On that refusal, and only then,
+/// `*read_only_table` (when given) receives the span of the table's name,
+/// so a caller can tell it from a syntax error.
+Result<std::string> ParseWriteTarget(TokenStream* tokens,
+                                     SourceSpan* read_only_table = nullptr);
 
 }  // namespace dmx::rel
 

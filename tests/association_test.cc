@@ -16,6 +16,9 @@ namespace {
 using testutil::AddCategorical;
 using testutil::AddGroup;
 using testutil::MakeCase;
+using testutil::ScoreCase;
+using testutil::ScoredEntry;
+using testutil::ScoredTarget;
 
 ParamMap Params(const MiningService& service,
                 std::vector<AlgorithmParam> overrides = {}) {
@@ -129,14 +132,14 @@ TEST(AssociationTest, RecommendationsExcludeOwnedItems) {
       Params(service, {{"MINIMUM_SUPPORT", Value::Double(2.0)},
                        {"MINIMUM_PROBABILITY", Value::Double(0.1)}}));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {}, {{0}}));
   ASSERT_TRUE(p.ok());
-  const AttributePrediction* basket = p->Find("Basket");
+  const ScoredTarget* basket = p->Find("Basket");
   ASSERT_NE(basket, nullptr);
   ASSERT_FALSE(basket->histogram.empty());
   // Top recommendation for a beer-holder is ham (conf 0.75), never beer.
   EXPECT_TRUE(basket->predicted.Equals(Value::Text("ham")));
-  for (const ScoredValue& sv : basket->histogram) {
+  for (const ScoredEntry& sv : basket->histogram) {
     EXPECT_FALSE(sv.value.Equals(Value::Text("beer")));
   }
 }
@@ -151,8 +154,8 @@ TEST(AssociationTest, PopularityFallbackWhenNoRuleApplies) {
   ASSERT_TRUE(model.ok());
   // With confidence floor 0.99 only ham=>beer survives; an empty basket gets
   // popularity-ranked suggestions anyway.
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {}, {{}}));
-  const AttributePrediction* basket = p->Find("Basket");
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {}, {{}}));
+  const ScoredTarget* basket = p->Find("Basket");
   ASSERT_FALSE(basket->histogram.empty());
   EXPECT_TRUE(basket->predicted.Equals(Value::Text("beer")));  // most popular
 }

@@ -17,6 +17,8 @@ using testutil::AddCategorical;
 using testutil::AddContinuous;
 using testutil::AddGroup;
 using testutil::MakeCase;
+using testutil::ScoreCase;
+using testutil::ScoredTarget;
 
 ParamMap Params(const MiningService& service,
                 std::vector<AlgorithmParam> overrides = {}) {
@@ -53,15 +55,15 @@ TEST(ClusteringTest, RecoversSeparatedBlobs) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}));
-  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}));
+  auto p0 = ScoreCase(**model, attrs, MakeCase(attrs, {0, 0}));
+  auto p20 = ScoreCase(**model, attrs, MakeCase(attrs, {20, 20}));
   ASSERT_TRUE(p0.ok());
   ASSERT_TRUE(p20.ok());
-  const AttributePrediction* c0 = p0->Find(kClusterTarget);
-  const AttributePrediction* c20 = p20->Find(kClusterTarget);
+  const ScoredTarget* c0 = p0->Find("$CLUSTER");
+  const ScoredTarget* c20 = p20->Find("$CLUSTER");
   ASSERT_NE(c0, nullptr);
   ASSERT_NE(c20, nullptr);
-  EXPECT_NE(c0->cluster_id, c20->cluster_id);
+  EXPECT_NE(c0->state, c20->state);
   EXPECT_GT(c0->probability, 0.99);
   EXPECT_GT(c20->probability, 0.99);
 }
@@ -73,16 +75,19 @@ TEST(ClusteringTest, ResponsibilitiesSumToOne) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(4)}}));
   ASSERT_TRUE(model.ok());
-  const auto& clustering = static_cast<const ClusteringModel&>(**model);
   Rng rng(3);
   for (int i = 0; i < 20; ++i) {
     DataCase probe = MakeCase(attrs, {rng.NextDouble() * 25,
                                       rng.NextDouble() * 25});
-    auto resp = clustering.Responsibilities(attrs, probe, false);
+    auto p = ScoreCase(**model, attrs, probe);
+    ASSERT_TRUE(p.ok());
+    const ScoredTarget* membership = p->Find("$CLUSTER");
+    ASSERT_NE(membership, nullptr);
+    EXPECT_EQ(membership->histogram.size(), 4u);
     double total = 0;
-    for (double r : resp) {
-      EXPECT_GE(r, 0);
-      total += r;
+    for (const auto& entry : membership->histogram) {
+      EXPECT_GE(entry.probability, 0);
+      total += entry.probability;
     }
     EXPECT_NEAR(total, 1.0, 1e-9);
   }
@@ -108,10 +113,10 @@ TEST(ClusteringTest, KMeansAlsoSeparates) {
       Params(service, {{"CLUSTER_COUNT", Value::Long(2)},
                        {"CLUSTER_METHOD", Value::Text("KMEANS")}}));
   ASSERT_TRUE(model.ok());
-  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, 0}));
-  auto p20 = (*model)->Predict(attrs, MakeCase(attrs, {20, 20}));
-  EXPECT_NE(p0->Find(kClusterTarget)->cluster_id,
-            p20->Find(kClusterTarget)->cluster_id);
+  auto p0 = ScoreCase(**model, attrs, MakeCase(attrs, {0, 0}));
+  auto p20 = ScoreCase(**model, attrs, MakeCase(attrs, {20, 20}));
+  EXPECT_NE(p0->Find("$CLUSTER")->state,
+            p20->Find("$CLUSTER")->state);
   // Hard assignments: every case weight lands in one cluster.
   const auto& clustering = static_cast<const ClusteringModel&>(**model);
   for (const auto& cluster : clustering.clusters()) {
@@ -137,7 +142,7 @@ TEST(ClusteringTest, PredictsTargetsThroughTheMixture) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs,
+  auto p = ScoreCase(**model, attrs,
                              MakeCase(attrs, {20, 20, kMissing}));
   ASSERT_TRUE(p.ok());
   EXPECT_TRUE(p->Find("Label")->predicted.Equals(Value::Text("far")));
@@ -157,7 +162,7 @@ TEST(ClusteringTest, PredictsTargetsThroughTheMixture) {
                               Params(service, {{"CLUSTER_COUNT",
                                                 Value::Long(2)}}));
   ASSERT_TRUE(model2.ok());
-  auto py = (*model2)->Predict(attrs2, MakeCase(attrs2, {20, kMissing}));
+  auto py = ScoreCase(**model2, attrs2, MakeCase(attrs2, {20, kMissing}));
   EXPECT_NEAR(py->Find("Y")->predicted.double_value(), 50, 3);
 }
 
@@ -192,10 +197,10 @@ TEST(ClusteringTest, ItemGroupsShapeClusters) {
                              Params(service, {{"CLUSTER_COUNT",
                                                Value::Long(2)}}));
   ASSERT_TRUE(model.ok());
-  auto beer = (*model)->Predict(attrs, MakeCase(attrs, {}, {{0}}));
-  auto seeds = (*model)->Predict(attrs, MakeCase(attrs, {}, {{1}}));
-  EXPECT_NE(beer->Find(kClusterTarget)->cluster_id,
-            seeds->Find(kClusterTarget)->cluster_id);
+  auto beer = ScoreCase(**model, attrs, MakeCase(attrs, {}, {{0}}));
+  auto seeds = ScoreCase(**model, attrs, MakeCase(attrs, {}, {{1}}));
+  EXPECT_NE(beer->Find("$CLUSTER")->state,
+            seeds->Find("$CLUSTER")->state);
 }
 
 TEST(ClusteringTest, ContentExposesClusterNodes) {
@@ -265,8 +270,8 @@ TEST_P(ClusteringSeedSweep, HighPurityOnSeparatedData) {
   ASSERT_TRUE(model.ok());
   std::map<std::pair<int, int>, int> crosstab;
   for (size_t i = 0; i < cases.size(); ++i) {
-    auto p = (*model)->Predict(attrs, cases[i]);
-    crosstab[{p->Find(kClusterTarget)->cluster_id, truth[i]}]++;
+    auto p = ScoreCase(**model, attrs, cases[i]);
+    crosstab[{p->Find("$CLUSTER")->state, truth[i]}]++;
   }
   int agree = 0;
   for (int cluster = 0; cluster < 2; ++cluster) {

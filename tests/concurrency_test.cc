@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/string_util.h"
 #include "core/provider.h"
 #include "datagen/warehouse.h"
 
@@ -72,9 +73,9 @@ void RunSession(Provider* provider, int id, std::atomic<int>* failures) {
     for (int r = 0; r < 6; ++r) {
       int id_value = round * 6 + (round == 3 ? 5 - r : r);
       if (r > 0) insert += ", ";
-      insert += "(" + std::to_string(id_value) + ", " +
-                std::to_string(id_value % 7) + ".5, " +
-                std::to_string(id_value % 3) + ")";
+      insert += StrCat("(", std::to_string(id_value), ", ",
+                       std::to_string(id_value % 7), ".5, ",
+                       std::to_string(id_value % 3), ")");
     }
     must(insert);
     must("SELECT [Id], [X] FROM [" + table + "] ORDER BY [Id]");

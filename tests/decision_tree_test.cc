@@ -15,6 +15,7 @@ using testutil::AddCategorical;
 using testutil::AddContinuous;
 using testutil::AddGroup;
 using testutil::MakeCase;
+using testutil::ScoreCase;
 
 ParamMap Params(const MiningService& service,
                 std::vector<AlgorithmParam> overrides = {}) {
@@ -49,8 +50,7 @@ TEST(DecisionTreeTest, SplitsOnTheInformativeAttribute) {
   EXPECT_EQ(tree.nodes[0].split.attribute, 1);  // Signal, not Noise
   // And predictions are perfect.
   for (int signal = 0; signal < 2; ++signal) {
-    auto p = (*model)->Predict(
-        attrs, MakeCase(attrs, {0, static_cast<double>(signal), kMissing}));
+    auto p = ScoreCase(**model, attrs, MakeCase(attrs, {0, static_cast<double>(signal), kMissing}));
     ASSERT_TRUE(p.ok());
     EXPECT_TRUE(p->Find("Label")->predicted.Equals(
         Value::Text(signal == 0 ? "L0" : "L1")));
@@ -91,8 +91,8 @@ TEST(DecisionTreeTest, RegressionTreePredictsGroupMeans) {
   DecisionTreeService service;
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok());
-  auto p0 = (*model)->Predict(attrs, MakeCase(attrs, {0, kMissing}));
-  auto p1 = (*model)->Predict(attrs, MakeCase(attrs, {1, kMissing}));
+  auto p0 = ScoreCase(**model, attrs, MakeCase(attrs, {0, kMissing}));
+  auto p1 = ScoreCase(**model, attrs, MakeCase(attrs, {1, kMissing}));
   EXPECT_NEAR(p0->Find("Y")->predicted.double_value(), 10, 1);
   EXPECT_NEAR(p1->Find("Y")->predicted.double_value(), 50, 1);
   EXPECT_LT(p0->Find("Y")->variance, 2.0);
@@ -206,7 +206,7 @@ TEST(DecisionTreeTest, MultipleTargetsGetSeparateTrees) {
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(AsTree(**model).trees().size(), 2u);
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {1, kMissing, kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {1, kMissing, kMissing}));
   EXPECT_TRUE(p->Find("L1")->predicted.Equals(Value::Text("q")));
   EXPECT_NEAR(p->Find("L2")->predicted.double_value(), 10, 1e-6);
 }

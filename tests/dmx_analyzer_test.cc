@@ -212,6 +212,31 @@ TEST(DmxAnalyzerTest, ParseFailureBecomesParseErrorDiagnostic) {
   EXPECT_TRUE(report.HasRule(rules::kParseError)) << report.ToString();
 }
 
+// A write naming a read-only table parses; it is refused under its own
+// rule, pointing at the table's name.
+TEST(DmxAnalyzerTest, WriteToReadOnlyTableIsNotAParseError) {
+  for (const std::string text : {
+           "DELETE FROM $system.DMSCHEMA_MINING_MODELS",
+           "DROP TABLE $system.DMSCHEMA_MINING_MODELS;",
+           "INSERT INTO $system.DMSCHEMA_MINING_MODELS VALUES ('x')",
+           "DELETE FROM [A].CONTENT WHERE NODE_TYPE = 1",
+       }) {
+    AnalysisReport report = DmxAnalyzer().AnalyzeText(text);
+    ASSERT_EQ(report.diagnostics.size(), 1u) << text << report.ToString();
+    const Diagnostic& diag = report.diagnostics[0];
+    EXPECT_EQ(diag.rule, rules::kReadOnlyTable) << text;
+    EXPECT_EQ(diag.severity, DiagSeverity::kError) << text;
+    const std::string table = text.find("CONTENT") != std::string::npos
+                                  ? "[A].CONTENT"
+                                  : "$system.DMSCHEMA_MINING_MODELS";
+    EXPECT_EQ(text.substr(diag.span.offset, diag.span.length), table) << text;
+  }
+  // Still a syntax error: the write grammar stops before the table name.
+  EXPECT_TRUE(DmxAnalyzer()
+                  .AnalyzeText("DELETE FROM $system.")
+                  .HasRule(rules::kParseError));
+}
+
 TEST(DmxAnalyzerTest, PlainSqlIsNotAnalyzed) {
   AnalysisReport report =
       DmxAnalyzer().AnalyzeText("SELECT a, b FROM t WHERE a > 3");

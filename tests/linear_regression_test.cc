@@ -15,6 +15,7 @@ using testutil::AddCategorical;
 using testutil::AddContinuous;
 using testutil::AddGroup;
 using testutil::MakeCase;
+using testutil::ScoreCase;
 
 ParamMap Params(const MiningService& service,
                 std::vector<AlgorithmParam> overrides = {}) {
@@ -38,7 +39,7 @@ TEST(LinearRegressionTest, RecoversExactLinearFunction) {
   LinearRegressionService service;
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {4, 5, kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {4, 5, kMissing}));
   ASSERT_TRUE(p.ok());
   EXPECT_NEAR(p->Find("Y")->predicted.double_value(), 3 * 4 - 2 * 5 + 7, 0.05);
   EXPECT_LT(p->Find("Y")->variance, 0.01);  // noiseless fit
@@ -57,8 +58,7 @@ TEST(LinearRegressionTest, CategoricalOneHotEffects) {
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok());
   for (int g = 0; g < 3; ++g) {
-    auto p = (*model)->Predict(
-        attrs, MakeCase(attrs, {static_cast<double>(g), kMissing}));
+    auto p = ScoreCase(**model, attrs, MakeCase(attrs, {static_cast<double>(g), kMissing}));
     EXPECT_NEAR(p->Find("Y")->predicted.double_value(), 5 + 10 * g, 0.1);
   }
 }
@@ -81,7 +81,7 @@ TEST(LinearRegressionTest, ItemIndicatorsContribute) {
   LinearRegressionService service;
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {kMissing}, {{1}}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {kMissing}, {{1}}));
   EXPECT_NEAR(p->Find("Spend")->predicted.double_value(), 110, 1);
 }
 
@@ -105,8 +105,8 @@ TEST(LinearRegressionTest, IncrementalEqualsBatch) {
     ASSERT_TRUE((*inc)->ConsumeCase(attrs_b, c).ok());
   }
   DataCase probe = MakeCase(attrs_a, {1.5, kMissing});
-  auto pa = (*batch)->Predict(attrs_a, probe);
-  auto pb = (*inc)->Predict(attrs_b, probe);
+  auto pa = ScoreCase(**batch, attrs_a, probe);
+  auto pb = ScoreCase(**inc, attrs_b, probe);
   EXPECT_DOUBLE_EQ(pa->Find("Y")->predicted.double_value(),
                    pb->Find("Y")->predicted.double_value());
 }
@@ -127,7 +127,7 @@ TEST(LinearRegressionTest, RefreshImprovesTheFit) {
     double x = rng.NextDouble() * 10;
     ASSERT_TRUE((*model)->ConsumeCase(attrs, MakeCase(attrs, {x, x})).ok());
   }
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {8, kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {8, kMissing}));
   EXPECT_NEAR(p->Find("Y")->predicted.double_value(), 8, 2.5);
 }
 
@@ -147,9 +147,9 @@ TEST(LinearRegressionTest, HeavyRidgeShrinksTowardZero) {
   ASSERT_TRUE(mild.ok());
   ASSERT_TRUE(heavy.ok());
   DataCase probe = MakeCase(attrs, {5, kMissing});
-  double mild_pred = (*mild)->Predict(attrs, probe)
+  double mild_pred = ScoreCase(**mild, attrs, probe)
                          ->Find("Y")->predicted.double_value();
-  double heavy_pred = (*heavy)->Predict(attrs, probe)
+  double heavy_pred = ScoreCase(**heavy, attrs, probe)
                           ->Find("Y")->predicted.double_value();
   EXPECT_NEAR(mild_pred, 50, 1);
   EXPECT_LT(std::abs(heavy_pred), std::abs(mild_pred));
@@ -186,7 +186,7 @@ TEST(LinearRegressionTest, PredictingBeforeAnyLabeledCaseFails) {
   LinearRegressionService service;
   auto model = service.CreateEmpty(attrs, Params(service));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {1, kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {1, kMissing}));
   EXPECT_FALSE(p.ok());
   EXPECT_TRUE(p.status().IsInvalidState());
 }

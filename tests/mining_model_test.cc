@@ -123,11 +123,8 @@ TEST_F(MiningModelTest, DiscretizationBoundsPinnedAtFirstTraining) {
 TEST_F(MiningModelTest, PredictBeforeTrainingFails) {
   CreateModel("Naive_Bayes");
   MiningModel* model = Model("L");
-  DataCase c;
-  c.values.assign(model->attributes().attributes.size(), kMissing);
-  c.groups.resize(model->attributes().groups.size());
-  auto p = model->Predict(c);
-  EXPECT_TRUE(p.status().IsInvalidState());
+  auto scorer = model->MakeScorer(PredictionDemand{});
+  EXPECT_TRUE(scorer.status().IsInvalidState());
   EXPECT_TRUE(model->BuildContent().status().IsInvalidState());
 }
 

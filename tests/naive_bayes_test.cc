@@ -15,6 +15,9 @@ using testutil::AddCategorical;
 using testutil::AddContinuous;
 using testutil::AddGroup;
 using testutil::MakeCase;
+using testutil::ScoreCase;
+using testutil::ScoredEntry;
+using testutil::ScoredTarget;
 
 ParamMap DefaultParams(const MiningService& service) {
   return *service.ResolveParams({});
@@ -54,9 +57,9 @@ TEST(NaiveBayesTest, LearnsPlantedSignal) {
   for (int color = 0; color < 2; ++color) {
     DataCase query = MakeCase(attrs, {static_cast<double>(color), kMissing,
                                       kMissing});
-    auto p = (*model)->Predict(attrs, query);
+    auto p = ScoreCase(**model, attrs, query);
     ASSERT_TRUE(p.ok());
-    const AttributePrediction* label = p->Find("Label");
+    const ScoredTarget* label = p->Find("Label");
     ASSERT_NE(label, nullptr);
     if (label->predicted.Equals(Value::Text(color == 0 ? "A" : "B"))) {
       ++correct;
@@ -73,10 +76,10 @@ TEST(NaiveBayesTest, PosteriorSumsToOne) {
                              DefaultParams(service));
   ASSERT_TRUE(model.ok());
   DataCase query = MakeCase(attrs, {0, 1, kMissing});
-  auto p = (*model)->Predict(attrs, query);
+  auto p = ScoreCase(**model, attrs, query);
   ASSERT_TRUE(p.ok());
   double total = 0;
-  for (const ScoredValue& sv : p->Find("Label")->histogram) {
+  for (const ScoredEntry& sv : p->Find("Label")->histogram) {
     EXPECT_GE(sv.probability, 0);
     total += sv.probability;
   }
@@ -102,8 +105,8 @@ TEST(NaiveBayesTest, IncrementalEqualsBatch) {
       DataCase query = MakeCase(attrs_batch, {static_cast<double>(color),
                                               static_cast<double>(size),
                                               kMissing});
-      auto a = (*batch)->Predict(attrs_batch, query);
-      auto b = (*incremental)->Predict(attrs_inc, query);
+      auto a = ScoreCase(**batch, attrs_batch, query);
+      auto b = ScoreCase(**incremental, attrs_inc, query);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       EXPECT_DOUBLE_EQ(a->Find("Label")->probability,
@@ -126,8 +129,8 @@ TEST(NaiveBayesTest, GaussianContinuousInput) {
   NaiveBayesService service;
   auto model = service.Train(attrs, cases, DefaultParams(service));
   ASSERT_TRUE(model.ok());
-  auto lo = (*model)->Predict(attrs, MakeCase(attrs, {-3.5, kMissing}));
-  auto hi = (*model)->Predict(attrs, MakeCase(attrs, {3.5, kMissing}));
+  auto lo = ScoreCase(**model, attrs, MakeCase(attrs, {-3.5, kMissing}));
+  auto hi = ScoreCase(**model, attrs, MakeCase(attrs, {3.5, kMissing}));
   EXPECT_TRUE(lo->Find("Label")->predicted.Equals(Value::Text("lo")));
   EXPECT_TRUE(hi->Find("Label")->predicted.Equals(Value::Text("hi")));
   EXPECT_GT(lo->Find("Label")->probability, 0.9);
@@ -150,8 +153,8 @@ TEST(NaiveBayesTest, NestedItemsCarrySignal) {
   NaiveBayesService service;
   auto model = service.Train(attrs, cases, DefaultParams(service));
   ASSERT_TRUE(model.ok());
-  auto with_beer = (*model)->Predict(attrs, MakeCase(attrs, {kMissing}, {{0}}));
-  auto without = (*model)->Predict(attrs, MakeCase(attrs, {kMissing}, {{}}));
+  auto with_beer = ScoreCase(**model, attrs, MakeCase(attrs, {kMissing}, {{0}}));
+  auto without = ScoreCase(**model, attrs, MakeCase(attrs, {kMissing}, {{}}));
   EXPECT_TRUE(with_beer->Find("Label")->predicted.Equals(Value::Text("A")));
   EXPECT_TRUE(without->Find("Label")->predicted.Equals(Value::Text("B")));
 }
@@ -169,7 +172,7 @@ TEST(NaiveBayesTest, CaseWeightsShiftThePrior) {
   NaiveBayesService service;
   auto model = service.Train(attrs, cases, DefaultParams(service));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {kMissing}));
   EXPECT_TRUE(p->Find("Label")->predicted.Equals(Value::Text("A")));
   EXPECT_GT(p->Find("Label")->probability, 0.7);
   EXPECT_DOUBLE_EQ((*model)->case_count(), 11.0);
@@ -186,7 +189,7 @@ TEST(NaiveBayesTest, SoftLabelsCountFractionally) {
   NaiveBayesService service;
   auto model = service.Train(attrs, {hard_b, soft_a}, DefaultParams(service));
   ASSERT_TRUE(model.ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {kMissing}));
   EXPECT_TRUE(p->Find("Label")->predicted.Equals(Value::Text("B")));
 }
 
@@ -198,7 +201,7 @@ TEST(NaiveBayesTest, UnlabeledCasesAreSkipped) {
   ASSERT_TRUE(
       (*model)->ConsumeCase(attrs, MakeCase(attrs, {0, 0, kMissing})).ok());
   ASSERT_TRUE((*model)->ConsumeCase(attrs, MakeCase(attrs, {0, 0, 1})).ok());
-  auto p = (*model)->Predict(attrs, MakeCase(attrs, {0, 0, kMissing}));
+  auto p = ScoreCase(**model, attrs, MakeCase(attrs, {0, 0, kMissing}));
   ASSERT_TRUE(p.ok());
   // Only the labeled case counts toward support.
   EXPECT_DOUBLE_EQ(p->Find("Label")->support, 1.0);
@@ -247,8 +250,8 @@ TEST_P(NaiveBayesSeedSweep, IncrementalMatchesBatch) {
     ASSERT_TRUE((*inc)->ConsumeCase(attrs_b, c).ok());
   }
   DataCase query = MakeCase(attrs_a, {1, 2, kMissing});
-  auto pa = (*batch)->Predict(attrs_a, query);
-  auto pb = (*inc)->Predict(attrs_b, query);
+  auto pa = ScoreCase(**batch, attrs_a, query);
+  auto pb = ScoreCase(**inc, attrs_b, query);
   EXPECT_DOUBLE_EQ(pa->Find("Label")->probability,
                    pb->Find("Label")->probability);
   EXPECT_TRUE(pa->Find("Label")->predicted.Equals(pb->Find("Label")->predicted));

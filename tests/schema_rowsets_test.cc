@@ -334,6 +334,9 @@ TEST_F(SchemaRowsetsTest, WritesToSystemTablesFailAndChangeNothing) {
     EXPECT_NE(status.message().find("table '" + table + "' is read-only"),
               std::string::npos)
         << write << ": " << status.ToString();
+    // A refusal, not a syntax error.
+    EXPECT_EQ(status.ToString().find("parsing"), std::string::npos)
+        << write << ": " << status.ToString();
   }
   EXPECT_EQ(Must("SELECT * FROM $system.DMSCHEMA_MINING_MODELS")
                 .ToString(true),

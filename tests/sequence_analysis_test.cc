@@ -15,6 +15,8 @@ namespace dmx {
 namespace {
 
 using testutil::MakeCase;
+using testutil::ScoreCase;
+using testutil::ScoredTarget;
 
 ParamMap Params(const MiningService& service) {
   return *service.ResolveParams({});
@@ -81,18 +83,18 @@ TEST(SequenceAnalysisTest, RecoversPlantedTransitions) {
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok()) << model.status().ToString();
 
-  auto after_tv = (*model)->Predict(attrs, SequenceCase(attrs, {{0, 1}}));
+  auto after_tv = ScoreCase(**model, attrs, SequenceCase(attrs, {{0, 1}}));
   ASSERT_TRUE(after_tv.ok());
-  const AttributePrediction* p = after_tv->Find("Events");
+  const ScoredTarget* p = after_tv->Find("Events");
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(p->predicted.Equals(Value::Text("vcr")));
   EXPECT_GT(p->probability, 0.7);
 
-  auto after_beer = (*model)->Predict(attrs, SequenceCase(attrs, {{2, 1}}));
+  auto after_beer = ScoreCase(**model, attrs, SequenceCase(attrs, {{2, 1}}));
   EXPECT_TRUE(after_beer->Find("Events")->predicted.Equals(Value::Text("ham")));
 
   // Empty history predicts from the initial distribution (tv and beer only).
-  auto empty = (*model)->Predict(attrs, SequenceCase(attrs, {}));
+  auto empty = ScoreCase(**model, attrs, SequenceCase(attrs, {}));
   const Value& first = empty->Find("Events")->predicted;
   EXPECT_TRUE(first.Equals(Value::Text("tv")) ||
               first.Equals(Value::Text("beer")));
@@ -108,8 +110,8 @@ TEST(SequenceAnalysisTest, OnlyTheLastItemMatters) {
   auto model = service.Train(attrs, cases, Params(service));
   ASSERT_TRUE(model.ok());
   // History ending in b predicts c regardless of prefix.
-  auto p1 = (*model)->Predict(attrs, SequenceCase(attrs, {{1, 9}}));
-  auto p2 = (*model)->Predict(attrs, SequenceCase(attrs, {{0, 1}, {1, 2}}));
+  auto p1 = ScoreCase(**model, attrs, SequenceCase(attrs, {{1, 9}}));
+  auto p2 = ScoreCase(**model, attrs, SequenceCase(attrs, {{0, 1}, {1, 2}}));
   EXPECT_TRUE(p1->Find("Events")->predicted.Equals(Value::Text("c")));
   EXPECT_DOUBLE_EQ(p1->Find("Events")->probability,
                    p2->Find("Events")->probability);

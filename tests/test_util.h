@@ -5,10 +5,13 @@
 #define DMX_TESTS_TEST_UTIL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "model/attribute_set.h"
+#include "model/mining_service.h"
+#include "model/prediction.h"
 
 namespace dmx::testutil {
 
@@ -69,6 +72,89 @@ inline DataCase MakeCase(const AttributeSet& attrs,
     }
   }
   return c;
+}
+
+/// One histogram entry with its Value resolved.
+struct ScoredEntry {
+  Value value;
+  int state = -1;
+  double probability = 0;
+  double support = 0;
+  double variance = 0;
+};
+
+/// One target's prediction with its Values resolved.
+struct ScoredTarget {
+  Value predicted;
+  int state = -1;  ///< The best estimate's state (cluster index for $CLUSTER).
+  double probability = 0;
+  double support = 0;
+  double variance = 0;
+  std::vector<ScoredEntry> histogram;
+};
+
+/// Everything a model predicts for one case, by target name: attribute and
+/// group names, and "$CLUSTER" for cluster membership.
+struct ScoredCase {
+  std::vector<std::pair<std::string, ScoredTarget>> targets;
+
+  const ScoredTarget* Find(const std::string& name) const {
+    for (const auto& [target, prediction] : targets) {
+      if (target == name) return &prediction;
+    }
+    return nullptr;
+  }
+};
+
+/// The demand that reads every target of `attrs` with its histogram, and
+/// cluster membership last.
+inline PredictionDemand FullDemand(const AttributeSet& attrs) {
+  PredictionDemand demand;
+  for (size_t a = 0; a < attrs.attributes.size(); ++a) {
+    demand.Require({PredictionTarget::Kind::kAttribute, static_cast<int>(a)},
+                   true);
+  }
+  for (size_t g = 0; g < attrs.groups.size(); ++g) {
+    demand.Require({PredictionTarget::Kind::kGroup, static_cast<int>(g)}, true);
+  }
+  demand.Require({PredictionTarget::Kind::kCluster, -1}, true);
+  return demand;
+}
+
+/// Scores `input` with a full-demand scorer of `model`.
+inline Result<ScoredCase> ScoreCase(const TrainedModel& model,
+                                    const AttributeSet& attrs,
+                                    const DataCase& input) {
+  PredictionDemand demand = FullDemand(attrs);
+  DMX_ASSIGN_OR_RETURN(std::unique_ptr<CaseScorer> scorer,
+                       model.MakeScorer(attrs, demand));
+  std::vector<TargetPrediction> slots(demand.targets.size());
+  DMX_RETURN_IF_ERROR(scorer->Score(input, slots));
+  ScoredCase out;
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    const TargetPrediction& p = slots[slot];
+    if (!p.predicted) continue;
+    const PredictionTarget target = demand.targets[slot].target;
+    ScoredTarget scored;
+    scored.predicted = PredictedValue(attrs, target, p);
+    scored.state = p.state;
+    scored.probability = p.probability;
+    scored.support = p.support;
+    scored.variance = p.variance;
+    for (const ScoredState& entry : p.histogram) {
+      scored.histogram.push_back({EntryValue(attrs, target, p, entry),
+                                  entry.state, entry.probability,
+                                  entry.support, entry.variance});
+    }
+    std::string name =
+        target.kind == PredictionTarget::Kind::kAttribute
+            ? attrs.attributes[static_cast<size_t>(target.index)].name
+        : target.kind == PredictionTarget::Kind::kGroup
+            ? attrs.groups[static_cast<size_t>(target.index)].name
+            : std::string("$CLUSTER");
+    out.targets.emplace_back(std::move(name), std::move(scored));
+  }
+  return out;
 }
 
 }  // namespace dmx::testutil

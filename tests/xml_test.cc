@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace dmx::xml {
 namespace {
@@ -73,17 +74,19 @@ class XmlRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 void BuildRandomTree(Rng* rng, Element* node, int depth) {
   int attrs = static_cast<int>(rng->Uniform(3));
   for (int i = 0; i < attrs; ++i) {
-    node->SetAttr("a" + std::to_string(i),
-                  "v<&>'" + std::to_string(rng->Uniform(1000)));
+    node->SetAttr(StrCat("a", std::to_string(i)),
+                  StrCat("v<&>'", std::to_string(rng->Uniform(1000))));
   }
   if (depth >= 4) return;
   int children = static_cast<int>(rng->Uniform(4));
   if (children == 0 && rng->Chance(0.5)) {
-    node->set_text("text & <content> " + std::to_string(rng->Uniform(100)));
+    node->set_text(
+        StrCat("text & <content> ", std::to_string(rng->Uniform(100))));
     return;
   }
   for (int i = 0; i < children; ++i) {
-    BuildRandomTree(rng, node->AddChild("n" + std::to_string(i)), depth + 1);
+    BuildRandomTree(rng, node->AddChild(StrCat("n", std::to_string(i))),
+                    depth + 1);
   }
 }
 

@@ -378,8 +378,8 @@ ALLOCATING_PROJECT_TYPES = {"Row", "Rowset", "DataCase", "Rows"}
 
 # Types too heavy to pass through a range-for by value.
 HEAVY_COPY_TYPES = {
-    "Value", "Row", "Rowset", "DataCase", "CaseItem", "ScoredValue",
-    "AttributePrediction", "CasePrediction", "string",
+    "Value", "Row", "Rowset", "DataCase", "CaseItem", "TargetPrediction",
+    "string",
 }
 
 # Name-keyed lookups that must be pre-resolved outside the loop.
